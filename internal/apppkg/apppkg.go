@@ -145,6 +145,29 @@ func (p *Package) DecryptIOS() {
 	p.Encrypted = false
 }
 
+// Decrypted returns p's decrypted form without modifying p: executable
+// files are decrypted into fresh buffers and every other file is shared.
+// An unencrypted package is returned as is. Unlike DecryptIOS it never
+// writes to p, so one store package can be dumped by any number of
+// concurrent readers, any number of times, with the same result.
+func (p *Package) Decrypted() *Package {
+	if !p.Encrypted {
+		return p
+	}
+	cp := New(p.AppID)
+	for _, path := range p.order {
+		f := p.files[path]
+		if f.Executable {
+			data := make([]byte, len(f.Data))
+			copy(data, f.Data)
+			f = &File{Path: f.Path, Data: data, Executable: true}
+		}
+		cp.add(f)
+	}
+	xorExecutables(cp)
+	return cp
+}
+
 // --- Android manifest ------------------------------------------------------
 
 type xmlManifest struct {

@@ -66,9 +66,8 @@ func DynamicPrevalencePct(c Table3Cell) float64 {
 }
 
 // ChaosSweep reruns the study at each fault rate (plus a rate-0 reference)
-// and reports per-rate robustness accounting and Table 3 drift. A fresh
-// world is built per point: a study mutates world state (iOS package
-// decryption), so reusing one world would couple the points.
+// and reports per-rate robustness accounting and Table 3 drift. Each point
+// builds its own world, which the point's shard and net drills reuse.
 //
 // Points with a positive rate run with a Uniform fault plan seeded from
 // cfg.Params.Seed and at least two retries, so the sweep exercises the full
@@ -136,19 +135,41 @@ func chaosPoint(cfg Config, rate float64) (ChaosPoint, error) {
 	return pt, nil
 }
 
-// shardDrill reruns one chaos point as a sharded study under a derived
-// shard-death plan and verifies the merged export matches the point's own
-// export byte for byte — the sweep's coverage of the crash-tolerance
-// machinery: rising fault rates kill shards too, and the dataset must not
-// notice.
-func shardDrill(cfg Config, rate float64, s *Study) (*ShardDrill, error) {
-	const shards, workers = 4, 4
-	ranges := sliceRanges(len(shardUniverse(s.World)), shards)
-	items := make([]int, len(ranges))
-	for i, rg := range ranges {
-		items[i] = rg[1]
+// drillShards is both drills' shard and worker count.
+const drillShards = 4
+
+// drillPlan derives the seeded shard fault plan both drills run a chaos
+// point under, sized from the point's own world. Nil when the plan is
+// empty.
+func drillPlan(cfg Config, rate float64, s *Study) *faultinject.ShardPlan {
+	items := sliceItems(sliceRanges(len(studyWork(s.World)), drillShards))
+	return faultinject.DeriveShardPlan(cfg.Params.Seed, rate, drillShards, items)
+}
+
+// drillMerge merges a drill's journals and holds the result against the
+// point's own export byte for byte.
+func drillMerge(cfg Config, s *Study, dir, drill string, rate float64) error {
+	var single, merged bytes.Buffer
+	if err := s.WriteJSON(&single); err != nil {
+		return err
 	}
-	plan := faultinject.DeriveShardPlan(cfg.Params.Seed, rate, workers, items)
+	if err := MergeShards(&merged, cfg, ShardedConfig{Shards: drillShards, Dir: dir}); err != nil {
+		return fmt.Errorf("core: chaos %s drill at rate %g: %w", drill, rate, err)
+	}
+	if !bytes.Equal(merged.Bytes(), single.Bytes()) {
+		return fmt.Errorf("core: chaos %s drill at rate %g: merged export diverges from the point's own export (%d vs %d bytes)",
+			drill, rate, merged.Len(), single.Len())
+	}
+	return nil
+}
+
+// shardDrill reruns one chaos point as a sharded study under a derived
+// shard-death plan, on the point's own world, and verifies the merged
+// export matches the point's own export byte for byte — the sweep's
+// coverage of the crash-tolerance machinery: rising fault rates kill
+// shards too, and the dataset must not notice.
+func shardDrill(cfg Config, rate float64, s *Study) (*ShardDrill, error) {
+	plan := drillPlan(cfg, rate, s)
 	if plan == nil {
 		return nil, nil
 	}
@@ -157,37 +178,24 @@ func shardDrill(cfg Config, rate float64, s *Study) (*ShardDrill, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	stats, err := RunSharded(cfg, ShardedConfig{Shards: shards, Workers: workers, Dir: dir, Faults: plan})
+	stats, err := runShardedOn(cfg, ShardedConfig{Shards: drillShards, Workers: drillShards, Dir: dir, Faults: plan}, s.World)
 	if err != nil {
 		return nil, fmt.Errorf("core: chaos shard drill at rate %g: %w", rate, err)
 	}
-	var single, merged bytes.Buffer
-	if err := s.WriteJSON(&single); err != nil {
+	if err := drillMerge(cfg, s, dir, "shard", rate); err != nil {
 		return nil, err
-	}
-	if err := MergeShards(&merged, cfg, ShardedConfig{Shards: shards, Dir: dir}); err != nil {
-		return nil, fmt.Errorf("core: chaos shard drill at rate %g: %w", rate, err)
-	}
-	if !bytes.Equal(merged.Bytes(), single.Bytes()) {
-		return nil, fmt.Errorf("core: chaos shard drill at rate %g: merged export diverges from the point's own export (%d vs %d bytes)",
-			rate, merged.Len(), single.Len())
 	}
 	return &ShardDrill{Stats: *stats, ByteIdentical: true}, nil
 }
 
 // netDrill reruns one chaos point over the simulated shardnet transport
-// under the same derived fault plan — kills become mid-stream connection
-// deaths, and the plan's network family batters the wire itself — then
-// holds the merged export against the point's own export byte for byte:
-// the sweep's proof that a hostile network degrades progress, never data.
+// under the same derived fault plan, again on the point's own world —
+// kills become mid-stream connection deaths, and the plan's network family
+// batters the wire itself — then holds the merged export against the
+// point's own export byte for byte: the sweep's proof that a hostile
+// network degrades progress, never data.
 func netDrill(cfg Config, rate float64, s *Study) (*NetDrill, error) {
-	const shards, workers = 4, 4
-	ranges := sliceRanges(len(shardUniverse(s.World)), shards)
-	items := make([]int, len(ranges))
-	for i, rg := range ranges {
-		items[i] = rg[1]
-	}
-	plan := faultinject.DeriveShardPlan(cfg.Params.Seed, rate, workers, items)
+	plan := drillPlan(cfg, rate, s)
 	if plan == nil {
 		return nil, nil
 	}
@@ -196,20 +204,12 @@ func netDrill(cfg Config, rate float64, s *Study) (*NetDrill, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	stats, err := RunShardedNet(cfg, ShardedConfig{Shards: shards, Workers: workers, Dir: dir, Faults: plan})
+	stats, err := runShardedNetOn(cfg, ShardedConfig{Shards: drillShards, Workers: drillShards, Dir: dir, Faults: plan}, s.World)
 	if err != nil {
 		return nil, fmt.Errorf("core: chaos net drill at rate %g: %w", rate, err)
 	}
-	var single, merged bytes.Buffer
-	if err := s.WriteJSON(&single); err != nil {
+	if err := drillMerge(cfg, s, dir, "net", rate); err != nil {
 		return nil, err
-	}
-	if err := MergeShards(&merged, cfg, ShardedConfig{Shards: shards, Dir: dir}); err != nil {
-		return nil, fmt.Errorf("core: chaos net drill at rate %g: %w", rate, err)
-	}
-	if !bytes.Equal(merged.Bytes(), single.Bytes()) {
-		return nil, fmt.Errorf("core: chaos net drill at rate %g: merged export diverges from the point's own export (%d vs %d bytes)",
-			rate, merged.Len(), single.Len())
 	}
 	return &NetDrill{Stats: *stats, NetFaults: plan.Net.Faults(), ByteIdentical: true}, nil
 }

@@ -28,7 +28,9 @@ import (
 
 // journalFormatVersion versions the record payloads inside the WAL (the
 // frame layer has its own magic). Bump on any journalRecord shape change.
-const journalFormatVersion = 1
+// Version 2 added the shard fields (app header, dataset membership,
+// probes) that let the merge run without a world.
+const journalFormatVersion = 2
 
 // journalMeta is the header frame: everything that must match for a
 // journal's results to be valid replays in the current run. All fields
@@ -85,11 +87,30 @@ type journalStatic struct {
 	Misconfigs        []string      `json:"misconfigs,omitempty"`
 }
 
+// journalApp is the app header an export record carries (exportApp).
+type journalApp struct {
+	ID        string `json:"id"`
+	Name      string `json:"name"`
+	Developer string `json:"developer"`
+	Platform  string `json:"platform"`
+	Category  string `json:"category"`
+	Release   string `json:"release,omitempty"`
+}
+
 // journalRecord is one journaled AppResult. The App pointer is not
-// serialized: the world is rebuilt deterministically on resume and the
-// record re-links to it by Key.
+// serialized: a resumed study rebuilds the world and re-links the record
+// to it by Key.
 type journalRecord struct {
 	Key string `json:"key"`
+
+	// Shard records (encodeShardRecord) also carry what the merge would
+	// otherwise need the world for: the app header, the app's dataset
+	// membership, and the exported probe of every destination the record
+	// reports pinned, in PinnedDests order. Study journals leave them
+	// empty; their readers have the world.
+	App      *journalApp     `json:"app,omitempty"`
+	Datasets []string        `json:"datasets,omitempty"`
+	Probes   []ExportedProbe `json:"probes,omitempty"`
 
 	Static    *journalStatic          `json:"static,omitempty"`
 	StaticErr string                  `json:"static_err,omitempty"`
@@ -110,9 +131,34 @@ type journalRecord struct {
 	DynRun      string `json:"dyn_run,omitempty"`
 }
 
-// encodeAppResult serializes one result for the journal.
+// encodeAppResult serializes one result for a study journal.
 func encodeAppResult(key string, r *AppResult) ([]byte, error) {
-	rec := journalRecord{
+	rec, err := recordFor(key, r)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(rec)
+}
+
+// encodeShardRecord serializes one result for a slice journal, with the
+// app header, its dataset membership and the probes of its pinned
+// destinations.
+func encodeShardRecord(key string, r *AppResult, datasets []string, probes []ExportedProbe) ([]byte, error) {
+	rec, err := recordFor(key, r)
+	if err != nil {
+		return nil, err
+	}
+	rec.App = &journalApp{
+		ID: r.App.ID, Name: r.App.Name, Developer: r.App.Developer,
+		Platform: string(r.App.Platform), Category: r.App.Category, Release: r.App.Release,
+	}
+	rec.Datasets = datasets
+	rec.Probes = probes
+	return json.Marshal(rec)
+}
+
+func recordFor(key string, r *AppResult) (*journalRecord, error) {
+	rec := &journalRecord{
 		Key:               key,
 		Dyn:               r.Dyn,
 		WeakAnyConn:       r.WeakAnyConn,
@@ -152,25 +198,58 @@ func encodeAppResult(key string, r *AppResult) ([]byte, error) {
 		}
 		rec.Static = js
 	}
-	return json.Marshal(rec)
+	return rec, nil
 }
 
-// decodeAppResult materializes a journaled record against the rebuilt
-// world's app. Every byte has already passed the journal's CRC; failures
-// here mean a format change, and are loud.
-func decodeAppResult(data []byte, app *appmodel.App) (*AppResult, error) {
+// decodeRecord parses one journal record. Every byte has already passed
+// the journal's CRC; failures here mean a format change, and are loud.
+func decodeRecord(data []byte) (*journalRecord, error) {
 	var rec journalRecord
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&rec); err != nil {
 		return nil, fmt.Errorf("core: decode journal record: %w", err)
 	}
+	return &rec, nil
+}
+
+// decodeAppResult materializes a journaled record against the rebuilt
+// world's app.
+func decodeAppResult(data []byte, app *appmodel.App) (*AppResult, error) {
+	rec, err := decodeRecord(data)
+	if err != nil {
+		return nil, err
+	}
 	if want := string(app.Platform) + "/" + app.ID; rec.Key != want {
-		// The streaming merge relies on slice journals holding their items
-		// in work order; a key out of place means the journal does not
-		// belong where the caller thinks it does.
 		return nil, fmt.Errorf("core: journal record %q where %q belongs", rec.Key, want)
 	}
+	return rec.result(app)
+}
+
+// decodeShardRecord materializes a slice journal record against the app
+// header it carries — no world needed.
+func decodeShardRecord(data []byte) (*journalRecord, *AppResult, error) {
+	rec, err := decodeRecord(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	h := rec.App
+	if h == nil {
+		return nil, nil, fmt.Errorf("core: journal record %q carries no app header", rec.Key)
+	}
+	app := &appmodel.App{
+		ID: h.ID, Name: h.Name, Developer: h.Developer,
+		Platform: appmodel.Platform(h.Platform), Category: h.Category, Release: h.Release,
+	}
+	if want := h.Platform + "/" + h.ID; rec.Key != want {
+		return nil, nil, fmt.Errorf("core: journal record %q carries the header of %q", rec.Key, want)
+	}
+	res, err := rec.result(app)
+	return rec, res, err
+}
+
+// result rebuilds the AppResult a record holds, linked to app.
+func (rec *journalRecord) result(app *appmodel.App) (*AppResult, error) {
 	r := &AppResult{
 		App:               app,
 		Dyn:               rec.Dyn,

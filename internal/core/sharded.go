@@ -1,28 +1,31 @@
 package core
 
-// sharded.go runs the study as a fleet of crash-only shards and merges
-// their journals back into the canonical export. The app universe — the
-// same deduped work list a single-process run uses, re-sorted into export
-// order — is cut into contiguous slices; internal/shardcoord hands the
-// slices to workers under crash-tolerant leases, and every worker journals
-// its slice through the same WAL the single-process runner uses. Because
-// each result frame is a pure function of (run config, app), the slice
-// journals' contents are independent of scheduling, takeovers and kills —
-// which is what lets MergeShards stitch them into an export byte-identical
-// to an unsharded same-seed run, streaming one frame at a time.
+// sharded.go runs the study as a fleet of crash-only shards. The app
+// universe — the same deduped work list a single-process run uses,
+// re-sorted into export order — is cut into contiguous slices;
+// internal/shardcoord hands the slices to workers under crash-tolerant
+// leases, and every worker journals its slice through the same WAL the
+// single-process runner uses. The fleet builds its world once: every
+// in-process worker measures against that one world and one crypto plane,
+// adding only its private lab and prober.
+//
+// Each slice journal record is self-contained. Besides the measured
+// result it carries the app's export header, its dataset membership and
+// the exported probe of every destination it reports pinned, and it is a
+// pure function of (run config, app) — so the journals' contents are
+// independent of scheduling, takeovers and kills, and MergeShards
+// (merge.go) folds them into an export byte-identical to an unsharded
+// same-seed run without ever building the world.
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
 
 	"pinscope/internal/faultinject"
-	"pinscope/internal/journal"
 	"pinscope/internal/shardcoord"
 	"pinscope/internal/worldgen"
 )
@@ -42,6 +45,11 @@ type ShardedConfig struct {
 	// Faults is the deterministic shard-death plan (kills, induced lease
 	// expiries). Nil injects nothing.
 	Faults *faultinject.ShardPlan
+	// NetChaosRate, for RunShardedNet only, derives a seeded fault plan
+	// from (seed, rate, slice sizes): applied wholesale when Faults is
+	// nil, otherwise only its network family rides along (mixing two kill
+	// sources could leave no surviving worker). 0 derives nothing.
+	NetChaosRate float64
 }
 
 // shardMeta is a slice journal's header: the full run configuration plus
@@ -85,35 +93,118 @@ func sliceRanges(n, shards int) [][2]int {
 	return out
 }
 
-// shardSlices renders the shardcoord slice list for (cfg, sc, universe).
-func shardSlices(cfg Config, sc ShardedConfig, n int) ([]shardcoord.Slice, [][2]int, error) {
-	ranges := sliceRanges(n, sc.Shards)
-	slices := make([]shardcoord.Slice, 0, sc.Shards)
+// sliceItems lists the item count of each range — the slice sizes the
+// seeded shard fault plans are derived from.
+func sliceItems(ranges [][2]int) []int {
+	items := make([]int, len(ranges))
+	for i, rg := range ranges {
+		items[i] = rg[1]
+	}
+	return items
+}
+
+// shardSlices renders the shardcoord slice list for (cfg, sc, ranges).
+func shardSlices(cfg Config, sc ShardedConfig, ranges [][2]int) ([]shardcoord.Slice, error) {
+	slices := make([]shardcoord.Slice, 0, len(ranges))
 	for i, rg := range ranges {
 		meta, err := json.Marshal(shardMeta{
-			Run: metaFor(cfg), Slice: i, Slices: sc.Shards, Start: rg[0], Count: rg[1],
+			Run: metaFor(cfg), Slice: i, Slices: len(ranges), Start: rg[0], Count: rg[1],
 		})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		slices = append(slices, shardcoord.Slice{Path: shardPath(sc.Dir, i), Meta: meta, Items: rg[1]})
 	}
-	return slices, ranges, nil
+	return slices, nil
 }
 
-// shardBench adapts one worker's lab to the coordinator: each worker gets
-// its own crypto plane and bench, the in-process stand-in for a separate
-// shard machine.
+// prepareShardRun checks a sharded run's arguments and creates its
+// journal directory; every sharded entry point calls it before any world
+// is built.
+func prepareShardRun(cfg *Config, sc ShardedConfig) error {
+	if cfg.Window == 0 {
+		cfg.Window = 30
+	}
+	if sc.Shards <= 0 {
+		return errors.New("core: sharded run needs at least one shard")
+	}
+	if cfg.Journal != nil || cfg.Kill != nil {
+		return errors.New("core: sharded runs journal per slice; Config.Journal and Config.Kill must be nil")
+	}
+	if sc.Dir == "" {
+		return errors.New("core: sharded run needs a journal directory")
+	}
+	if err := os.MkdirAll(sc.Dir, 0o755); err != nil {
+		return fmt.Errorf("core: shard dir: %w", err)
+	}
+	return nil
+}
+
+// shardFleet is what every worker of one sharded run in this process
+// shares: the world, its canonical work order cut into slices, the dataset
+// membership index and (unless ColdCrypto) one crypto plane — the same
+// sharing RunOnWorld does across its workers.
+type shardFleet struct {
+	cfg        Config
+	w          *worldgen.World
+	uni        []workItem
+	ranges     [][2]int
+	membership map[string][]string
+	plane      *cryptoPlane
+}
+
+func newShardFleet(cfg Config, w *worldgen.World, shards int) (*shardFleet, error) {
+	uni := shardUniverse(w)
+	f := &shardFleet{
+		cfg: cfg, w: w, uni: uni,
+		ranges:     sliceRanges(len(uni), shards),
+		membership: datasetMembership(w),
+	}
+	if !cfg.ColdCrypto {
+		plane, err := newCryptoPlane(cfg, w)
+		if err != nil {
+			return nil, err
+		}
+		f.plane = plane
+	}
+	return f, nil
+}
+
+// newBench builds one worker's private lab and prober over the fleet's
+// shared world and plane.
+func (f *shardFleet) newBench() (*shardBench, error) {
+	lab, err := newLab(f.cfg, f.w, f.plane)
+	if err != nil {
+		return nil, err
+	}
+	return &shardBench{fleet: f, lab: lab, prober: newProber(f.cfg, f.w), probed: map[string]ExportedProbe{}}, nil
+}
+
+// shardBench adapts one worker's lab to the coordinators. Benches are
+// single-goroutine: each worker owns one.
 type shardBench struct {
-	uni    []workItem
-	ranges [][2]int
+	fleet  *shardFleet
 	lab    *lab
+	prober *prober
+	// probed memoizes this worker's probes by destination. It saves probe
+	// work only: every record still carries each probe it reports.
+	probed map[string]ExportedProbe
 }
 
 func (b *shardBench) RunItem(slice, item int) ([]byte, error) {
-	it := b.uni[b.ranges[slice][0]+item]
+	it := b.fleet.uni[b.fleet.ranges[slice][0]+item]
 	res := b.lab.studyAppResilient(it.app, it.common)
-	return encodeAppResult(it.key(), res)
+	dests := res.Dyn.PinnedDests()
+	probes := make([]ExportedProbe, 0, len(dests))
+	for _, d := range dests {
+		ep, ok := b.probed[d]
+		if !ok {
+			ep = exportProbe(b.prober.probe(d))
+			b.probed[d] = ep
+		}
+		probes = append(probes, ep)
+	}
+	return encodeShardRecord(it.key(), res, b.fleet.membership[it.key()], probes)
 }
 
 // RunSharded executes the study as sc.Shards crash-only slices under the
@@ -123,27 +214,27 @@ func (b *shardBench) RunItem(slice, item int) ([]byte, error) {
 // (injected or real), rerunning with the same arguments resumes every
 // slice from its journal.
 func RunSharded(cfg Config, sc ShardedConfig) (*shardcoord.Stats, error) {
-	if cfg.Window == 0 {
-		cfg.Window = 30
+	return runShardedOn(cfg, sc, nil)
+}
+
+// runShardedOn is RunSharded against an existing world (nil builds one
+// once the arguments check out). The world is only read, so a caller may
+// share it — the chaos drills rerun a point on the point's own world.
+func runShardedOn(cfg Config, sc ShardedConfig, w *worldgen.World) (*shardcoord.Stats, error) {
+	if err := prepareShardRun(&cfg, sc); err != nil {
+		return nil, err
 	}
-	if sc.Shards <= 0 {
-		return nil, errors.New("core: sharded run needs at least one shard")
+	if w == nil {
+		var err error
+		if w, err = worldgen.Build(cfg.Params); err != nil {
+			return nil, err
+		}
 	}
-	if cfg.Journal != nil || cfg.Kill != nil {
-		return nil, errors.New("core: sharded runs journal per slice; Config.Journal and Config.Kill must be nil")
-	}
-	if sc.Dir == "" {
-		return nil, errors.New("core: sharded run needs a journal directory")
-	}
-	if err := os.MkdirAll(sc.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("core: shard dir: %w", err)
-	}
-	w, err := worldgen.Build(cfg.Params)
+	fleet, err := newShardFleet(cfg, w, sc.Shards)
 	if err != nil {
 		return nil, err
 	}
-	uni := shardUniverse(w)
-	slices, ranges, err := shardSlices(cfg, sc, len(uni))
+	slices, err := shardSlices(cfg, sc, fleet.ranges)
 	if err != nil {
 		return nil, err
 	}
@@ -152,107 +243,6 @@ func RunSharded(cfg Config, sc ShardedConfig) (*shardcoord.Stats, error) {
 		Workers:  sc.Workers,
 		LeaseTTL: sc.LeaseTTL,
 		Faults:   sc.Faults,
-		NewBench: func(worker int) (shardcoord.Bench, error) {
-			var plane *cryptoPlane
-			if !cfg.ColdCrypto {
-				var perr error
-				plane, perr = newCryptoPlane(cfg, w)
-				if perr != nil {
-					return nil, perr
-				}
-			}
-			lab, lerr := newLab(cfg, w, plane)
-			if lerr != nil {
-				return nil, lerr
-			}
-			return &shardBench{uni: uni, ranges: ranges, lab: lab}, nil
-		},
+		NewBench: func(int) (shardcoord.Bench, error) { return fleet.newBench() },
 	})
-}
-
-// MergeShards streams the slice journals of a completed sharded run into
-// one exported dataset, byte-identical to WriteJSON of an unsharded
-// same-seed run. Peak memory is bounded: one journal frame is decoded,
-// exported and discarded at a time, and only two small indexes (dataset
-// membership and the pinned-destination set) live across the walk — the
-// full dataset never materializes.
-func MergeShards(out io.Writer, cfg Config, sc ShardedConfig) error {
-	if cfg.Window == 0 {
-		cfg.Window = 30
-	}
-	if sc.Shards <= 0 {
-		return errors.New("core: merge needs the run's shard count")
-	}
-	w, err := worldgen.Build(cfg.Params)
-	if err != nil {
-		return err
-	}
-	uni := shardUniverse(w)
-	slices, ranges, err := shardSlices(cfg, sc, len(uni))
-	if err != nil {
-		return err
-	}
-	membership := datasetMembership(w)
-	se, err := NewStreamExporter(out, exportMeta(cfg))
-	if err != nil {
-		return err
-	}
-	dests := map[string]bool{}
-	for i, rg := range ranges {
-		if err := mergeSlice(se, slices[i], rg, uni, membership, dests); err != nil {
-			return err
-		}
-	}
-	sorted := make([]string, 0, len(dests))
-	for d := range dests {
-		sorted = append(sorted, d)
-	}
-	sort.Strings(sorted)
-	probes := probeDests(cfg, w, sorted)
-	eps := make([]ExportedProbe, 0, len(sorted))
-	for _, d := range sorted {
-		eps = append(eps, exportProbe(probes[d]))
-	}
-	return se.Finish(eps)
-}
-
-// mergeSlice folds one slice journal into the stream.
-func mergeSlice(se *StreamExporter, sl shardcoord.Slice, rg [2]int,
-	uni []workItem, membership map[string][]string, dests map[string]bool) error {
-	r, err := journal.OpenReader(sl.Path)
-	if err != nil {
-		return fmt.Errorf("core: merge slice %s: %w", sl.Path, err)
-	}
-	defer r.Close()
-	if !bytes.Equal(r.Meta(), sl.Meta) {
-		return fmt.Errorf("core: merge slice %s: journal belongs to a different run or shard layout", sl.Path)
-	}
-	for item := 0; ; item++ {
-		data, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			if item != rg[1] {
-				return fmt.Errorf("core: merge slice %s: %d of %d results journaled — incomplete run, rerun -shards to finish it",
-					sl.Path, item, rg[1])
-			}
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("core: merge slice %s: %w", sl.Path, err)
-		}
-		if item >= rg[1] {
-			return fmt.Errorf("core: merge slice %s: more results than the slice's %d items", sl.Path, rg[1])
-		}
-		it := uni[rg[0]+item]
-		res, err := decodeAppResult(data, it.app) // verifies the record key
-		if err != nil {
-			return fmt.Errorf("core: merge slice %s item %d: %w", sl.Path, item, err)
-		}
-		ea := exportApp(res, membership[it.key()])
-		if err := se.App(&ea); err != nil {
-			return err
-		}
-		for _, d := range res.Dyn.PinnedDests() {
-			dests[d] = true
-		}
-	}
 }

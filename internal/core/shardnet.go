@@ -3,12 +3,15 @@ package core
 // shardnet.go lifts the sharded study over internal/shardnet's message
 // transport: the coordinator ships each worker the run's identity — the
 // journalMeta the slice journals already carry, i.e. the seed and
-// parameters, never data — and the worker rebuilds the world, the crypto
-// plane and its lab from that alone. A transported run therefore leaves
-// behind the same slice journals an in-process RunSharded leaves behind,
-// and MergeShards consumes them unchanged; the merged export is held
-// byte-identical to a single-process run by the chaos drills and the
-// public tests.
+// parameters, never data. A remote worker (ConnectShardWorker) rebuilds
+// the world, the crypto plane and its lab from that alone. The in-process
+// fleets (RunShardedNet, RunShardedTCP) share the world the coordinator
+// already built and one crypto plane, as RunSharded does; their workers
+// still decode and round-trip-verify the shipped run config before they
+// touch that world. A transported run therefore leaves behind the same
+// slice journals an in-process RunSharded leaves behind, and MergeShards
+// consumes them unchanged; the merged export is held byte-identical to a
+// single-process run by the chaos drills and the public tests.
 //
 // Two entry points run the whole fleet in-process: RunShardedNet over the
 // deterministic simulated network (with the fault plan's network chaos
@@ -20,7 +23,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"strconv"
 	"sync"
 	"time"
@@ -47,21 +49,22 @@ func encodeNetRunConfig(cfg Config, shards int) ([]byte, error) {
 	return json.Marshal(netRunConfig{Run: metaFor(cfg), Shards: shards, ColdCrypto: cfg.ColdCrypto})
 }
 
-// benchFromRunConfig rebuilds a worker bench from the wire run config —
-// the worker side of "ship the seed, not the data". The round-trip is
-// verified: the rebuilt config must reproduce the shipped journalMeta
+// decodeNetRunConfig is the worker side of "ship the seed, not the data":
+// it rebuilds the study Config (all but the timeline stores, which need
+// the world) and the shard count from the wire run config. The round-trip
+// is verified: the rebuilt config must reproduce the shipped journalMeta
 // exactly, so a journalMeta field that this decoder forgets to restore
 // fails loudly instead of silently measuring a different run.
-func benchFromRunConfig(raw []byte) (shardnet.Bench, error) {
+func decodeNetRunConfig(raw []byte) (Config, int, error) {
 	var rc netRunConfig
 	if err := json.Unmarshal(raw, &rc); err != nil {
-		return nil, fmt.Errorf("core: run config: %w", err)
+		return Config{}, 0, fmt.Errorf("core: run config: %w", err)
 	}
 	if rc.Run.Format != journalFormatVersion {
-		return nil, fmt.Errorf("core: run config format %d, this worker speaks %d", rc.Run.Format, journalFormatVersion)
+		return Config{}, 0, fmt.Errorf("core: run config format %d, this worker speaks %d", rc.Run.Format, journalFormatVersion)
 	}
 	if rc.Shards <= 0 {
-		return nil, fmt.Errorf("core: run config has %d shards", rc.Shards)
+		return Config{}, 0, fmt.Errorf("core: run config has %d shards", rc.Shards)
 	}
 	cfg := Config{
 		Params:     rc.Run.Params,
@@ -74,11 +77,23 @@ func benchFromRunConfig(raw []byte) (shardnet.Bench, error) {
 		cfg.Faults = faultinject.NewPlan(rc.Run.FaultSeed, rc.Run.FaultRates)
 	}
 	if got := metaFor(cfg); got != rc.Run {
-		return nil, errors.New("core: run config did not round-trip; a run-identity field is not being shipped")
+		return Config{}, 0, errors.New("core: run config did not round-trip; a run-identity field is not being shipped")
 	}
-	w, err := worldgen.Build(cfg.Params)
+	return cfg, rc.Shards, nil
+}
+
+// fleetFromRunConfig decodes a wire run config into the shard fleet it
+// names, over world w (nil builds the world the config names). A release
+// resolves to the timeline point's trust stores in that world.
+func fleetFromRunConfig(raw []byte, w *worldgen.World) (*shardFleet, error) {
+	cfg, shards, err := decodeNetRunConfig(raw)
 	if err != nil {
 		return nil, err
+	}
+	if w == nil {
+		if w, err = worldgen.Build(cfg.Params); err != nil {
+			return nil, err
+		}
 	}
 	if cfg.Release != "" {
 		pts, err := selectPoints(w.Timeline, []string{cfg.Release})
@@ -94,19 +109,17 @@ func benchFromRunConfig(raw []byte) (shardnet.Bench, error) {
 			appmodel.IOS:     ios,
 		}
 	}
-	uni := shardUniverse(w)
-	ranges := sliceRanges(len(uni), rc.Shards)
-	var plane *cryptoPlane
-	if !cfg.ColdCrypto {
-		if plane, err = newCryptoPlane(cfg, w); err != nil {
-			return nil, err
-		}
-	}
-	lab, err := newLab(cfg, w, plane)
+	return newShardFleet(cfg, w, shards)
+}
+
+// benchFromRunConfig is a remote worker's bench: the one place a worker
+// builds its own world, from nothing but the wire run config.
+func benchFromRunConfig(raw []byte) (shardnet.Bench, error) {
+	fleet, err := fleetFromRunConfig(raw, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &shardBench{uni: uni, ranges: ranges, lab: lab}, nil
+	return fleet.newBench()
 }
 
 // netKillTap renders the plan's kill family as a shardnet worker KillTap:
@@ -149,37 +162,76 @@ type NetShardStats struct {
 	WorkersKilled int
 }
 
-// netRunSetup is the shared front half of every transported run.
-func netRunSetup(cfg *Config, sc ShardedConfig) ([]shardnet.Slice, []byte, error) {
-	if cfg.Window == 0 {
-		cfg.Window = 30
+// netRun is the shared front half of every transported run: the slice
+// list, the wire run config, and the world both were derived from.
+type netRun struct {
+	slices []shardnet.Slice
+	rc     []byte
+	w      *worldgen.World
+}
+
+// netRunSetup checks the arguments, builds the world unless the caller
+// passes one, and derives the slices and the wire run config from it.
+func netRunSetup(cfg *Config, sc ShardedConfig, w *worldgen.World) (*netRun, error) {
+	if err := prepareShardRun(cfg, sc); err != nil {
+		return nil, err
 	}
-	if sc.Shards <= 0 {
-		return nil, nil, errors.New("core: sharded run needs at least one shard")
+	if w == nil {
+		var err error
+		if w, err = worldgen.Build(cfg.Params); err != nil {
+			return nil, err
+		}
 	}
-	if cfg.Journal != nil || cfg.Kill != nil {
-		return nil, nil, errors.New("core: sharded runs journal per slice; Config.Journal and Config.Kill must be nil")
-	}
-	if sc.Dir == "" {
-		return nil, nil, errors.New("core: sharded run needs a journal directory")
-	}
-	if err := os.MkdirAll(sc.Dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("core: shard dir: %w", err)
-	}
-	w, err := worldgen.Build(cfg.Params)
+	slices, err := shardSlices(*cfg, sc, sliceRanges(len(studyWork(w)), sc.Shards))
 	if err != nil {
-		return nil, nil, err
-	}
-	uni := shardUniverse(w)
-	slices, _, err := shardSlices(*cfg, sc, len(uni))
-	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	rc, err := encodeNetRunConfig(*cfg, sc.Shards)
 	if err != nil {
+		return nil, err
+	}
+	return &netRun{slices: toNetSlices(slices), rc: rc, w: w}, nil
+}
+
+// localFleet builds the in-process worker fleet of a transported run: one
+// shard fleet over the run's world, decoded from the same wire run config
+// every worker is shipped. Its NewBench still decodes and round-trip
+// verifies the Welcome payload, and refuses one naming a run other than
+// the one the shared world was built for.
+func (nr *netRun) localFleet() (*shardFleet, func([]byte) (shardnet.Bench, error), error) {
+	fleet, err := fleetFromRunConfig(nr.rc, nr.w)
+	if err != nil {
 		return nil, nil, err
 	}
-	return toNetSlices(slices), rc, nil
+	return fleet, func(raw []byte) (shardnet.Bench, error) {
+		cfg, shards, err := decodeNetRunConfig(raw)
+		if err != nil {
+			return nil, err
+		}
+		if metaFor(cfg) != metaFor(fleet.cfg) || cfg.ColdCrypto != fleet.cfg.ColdCrypto || shards != len(fleet.ranges) {
+			return nil, errors.New("core: Welcome run config names a different run than this process's shared world")
+		}
+		return fleet.newBench()
+	}, nil
+}
+
+// netPlan is sc's fault plan with its NetChaosRate derivation applied:
+// the derived plan wholesale when sc.Faults is nil, otherwise only its
+// network family joins the explicit plan.
+func netPlan(seed int64, sc ShardedConfig, workers int, ranges [][2]int) *faultinject.ShardPlan {
+	if sc.NetChaosRate <= 0 {
+		return sc.Faults
+	}
+	derived := faultinject.DeriveShardPlan(seed, sc.NetChaosRate, workers, sliceItems(ranges))
+	switch {
+	case sc.Faults == nil:
+		return derived
+	case derived == nil:
+		return sc.Faults
+	}
+	p := *sc.Faults
+	p.Net = derived.Net
+	return &p
 }
 
 // runNetFleet drives one coordinator plus an in-process worker fleet to
@@ -221,20 +273,33 @@ func runNetFleet(coord *shardnet.Coordinator, workers int,
 // RunShardedNet executes the study as a transported sharded run over the
 // deterministic simulated network: same slices, same journals, same merge
 // as RunSharded, with the coordinator and workers talking shardnet frames
-// under the fault plan's network chaos (sc.Faults.Net), worker kills
-// rendered as mid-stream connection deaths, and lease expiries covered by
-// the network faults themselves (a partition is heartbeat silence).
+// under the fault plan's network chaos (sc.Faults.Net, plus the
+// sc.NetChaosRate derivation), worker kills rendered as mid-stream
+// connection deaths, and lease expiries covered by the network faults
+// themselves (a partition is heartbeat silence).
 func RunShardedNet(cfg Config, sc ShardedConfig) (*NetShardStats, error) {
-	slices, rc, err := netRunSetup(&cfg, sc)
+	return runShardedNetOn(cfg, sc, nil)
+}
+
+// runShardedNetOn is RunShardedNet against an existing world (nil builds
+// one), like runShardedOn.
+func runShardedNetOn(cfg Config, sc ShardedConfig, w *worldgen.World) (*NetShardStats, error) {
+	nr, err := netRunSetup(&cfg, sc, w)
 	if err != nil {
 		return nil, err
 	}
-	net := shardnet.NewSimNet(sc.Faults.NetFaults())
+	fleet, newBench, err := nr.localFleet()
+	if err != nil {
+		return nil, err
+	}
+	workers := fleetSize(sc)
+	plan := netPlan(cfg.Params.Seed, sc, workers, fleet.ranges)
+	net := shardnet.NewSimNet(plan.NetFaults())
 	coord, err := shardnet.NewCoordinator(shardnet.Config{
 		Listener:        net.Listener(),
 		Clock:           net,
-		Slices:          slices,
-		RunConfig:       rc,
+		Slices:          nr.slices,
+		RunConfig:       nr.rc,
 		LeaseTTL:        sc.LeaseTTL,
 		BackoffSeed:     cfg.Params.Seed,
 		FailWhenDrained: true,
@@ -242,21 +307,25 @@ func RunShardedNet(cfg Config, sc ShardedConfig) (*NetShardStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers := sc.Workers
-	if workers <= 0 {
-		workers = sc.Shards
-	}
-	kill := netKillTap(sc.Faults)
+	kill := netKillTap(plan)
 	return runNetFleet(coord, workers, func(i int) error {
 		return shardnet.RunWorker(net.Dialer(), shardnet.WorkerOptions{
 			Clock:       net,
-			NewBench:    benchFromRunConfig,
+			NewBench:    newBench,
 			Reconnects:  16,
 			BackoffSeed: cfg.Params.Seed,
 			Scope:       "sim/" + strconv.Itoa(i),
 			KillTap:     kill,
 		})
 	})
+}
+
+// fleetSize is the worker count of an in-process fleet.
+func fleetSize(sc ShardedConfig) int {
+	if sc.Workers > 0 {
+		return sc.Workers
+	}
+	return sc.Shards
 }
 
 // TCP-side timing: wall-clock analogues of the simulated network's
@@ -272,7 +341,11 @@ const (
 // real — but injected worker kills still fire, leaving torn wire frames
 // the receiver's framing must reject.
 func RunShardedTCP(cfg Config, sc ShardedConfig) (*NetShardStats, error) {
-	slices, rc, err := netRunSetup(&cfg, sc)
+	nr, err := netRunSetup(&cfg, sc, nil)
+	if err != nil {
+		return nil, err
+	}
+	_, newBench, err := nr.localFleet()
 	if err != nil {
 		return nil, err
 	}
@@ -283,8 +356,8 @@ func RunShardedTCP(cfg Config, sc ShardedConfig) (*NetShardStats, error) {
 	coord, err := shardnet.NewCoordinator(shardnet.Config{
 		Listener:        ln,
 		Clock:           shardnet.WallClock(),
-		Slices:          slices,
-		RunConfig:       rc,
+		Slices:          nr.slices,
+		RunConfig:       nr.rc,
 		LeaseTTL:        int64(tcpLeaseTTL),
 		BackoffSeed:     cfg.Params.Seed,
 		FailWhenDrained: true,
@@ -293,16 +366,12 @@ func RunShardedTCP(cfg Config, sc ShardedConfig) (*NetShardStats, error) {
 		ln.Close()
 		return nil, err
 	}
-	workers := sc.Workers
-	if workers <= 0 {
-		workers = sc.Shards
-	}
 	kill := netKillTap(sc.Faults)
 	addr := ln.Addr()
-	return runNetFleet(coord, workers, func(i int) error {
+	return runNetFleet(coord, fleetSize(sc), func(i int) error {
 		return shardnet.RunWorker(shardnet.TCPDialer{Addr: addr}, shardnet.WorkerOptions{
 			Clock:       shardnet.WallClock(),
-			NewBench:    benchFromRunConfig,
+			NewBench:    newBench,
 			IdleTimeout: int64(tcpIdleTimeout),
 			Reconnects:  16,
 			BackoffSeed: cfg.Params.Seed,
@@ -321,7 +390,7 @@ func RunShardedTCP(cfg Config, sc ShardedConfig) (*NetShardStats, error) {
 // run; an interrupted serve resumes from the journals like any sharded
 // run.
 func ServeShards(cfg Config, sc ShardedConfig, addr string) (*NetShardStats, error) {
-	slices, rc, err := netRunSetup(&cfg, sc)
+	nr, err := netRunSetup(&cfg, sc, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -332,8 +401,8 @@ func ServeShards(cfg Config, sc ShardedConfig, addr string) (*NetShardStats, err
 	coord, err := shardnet.NewCoordinator(shardnet.Config{
 		Listener:    ln,
 		Clock:       shardnet.WallClock(),
-		Slices:      slices,
-		RunConfig:   rc,
+		Slices:      nr.slices,
+		RunConfig:   nr.rc,
 		LeaseTTL:    int64(tcpLeaseTTL),
 		BackoffSeed: cfg.Params.Seed,
 	})
@@ -362,30 +431,4 @@ func ConnectShardWorker(addr string, scope string) error {
 		BackoffBase: int64(250 * time.Millisecond),
 		Scope:       "cli/" + scope,
 	})
-}
-
-// DeriveNetPlan derives the seeded fault plan for a transported sharded
-// run of cfg cut into sc.Shards slices — worker kills, lease expiries,
-// and the network fault family (delays, drops, duplicate delivery,
-// partitions), capped so at least one shard always progresses on a
-// never-severed link. Rate 0 yields nil. The same (config, shape, rate)
-// always derives the same plan.
-func DeriveNetPlan(cfg Config, sc ShardedConfig, rate float64) (*faultinject.ShardPlan, error) {
-	if sc.Shards <= 0 {
-		return nil, errors.New("core: sharded run needs at least one shard")
-	}
-	w, err := worldgen.Build(cfg.Params)
-	if err != nil {
-		return nil, err
-	}
-	workers := sc.Workers
-	if workers <= 0 {
-		workers = sc.Shards
-	}
-	ranges := sliceRanges(len(shardUniverse(w)), sc.Shards)
-	items := make([]int, len(ranges))
-	for i, rg := range ranges {
-		items[i] = rg[1]
-	}
-	return faultinject.DeriveShardPlan(cfg.Params.Seed, rate, workers, items), nil
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -144,7 +146,8 @@ func TestShardNetRerunResumesAfterFleetDeath(t *testing.T) {
 
 func TestShardNetDerivedPlanMergesByteIdentical(t *testing.T) {
 	// Same equivalence under the derived (seeded) fault plan with its
-	// network family — the path the chaos sweep's network drill exercises.
+	// network family — the plan NetChaosRate derives inside the run, and
+	// the path the chaos sweep's network drill exercises.
 	cfg := microCfg(57)
 	single := exportBytes(t, runCfg(t, cfg))
 
@@ -154,18 +157,103 @@ func TestShardNetDerivedPlanMergesByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranges := sliceRanges(len(shardUniverse(w)), 4)
-	items := make([]int, len(ranges))
-	for i, rg := range ranges {
-		items[i] = rg[1]
-	}
-	plan := faultinject.DeriveShardPlan(cfg.Params.Seed, 1.0, 4, items)
-	if plan == nil || !plan.Net.Any() {
+	sc := ShardedConfig{Shards: 4, Workers: 4, Dir: t.TempDir(), NetChaosRate: 1.0}
+	if plan := netPlan(cfg.Params.Seed, sc, 4, sliceRanges(len(shardUniverse(w)), 4)); plan == nil || !plan.Net.Any() {
 		t.Fatalf("derived plan injected no network chaos: %+v", plan)
 	}
-	sc := ShardedConfig{Shards: 4, Workers: 4, Dir: t.TempDir(), Faults: plan}
 	merged, _ := netShardedExport(t, shardedCfg, sc)
 	if !bytes.Equal(merged, single) {
 		t.Fatalf("derived-plan transported merge diverges (%d vs %d bytes)", len(merged), len(single))
+	}
+}
+
+func TestRemoteBenchAgreesWithLocalFleet(t *testing.T) {
+	// A remote worker builds its own world from the Welcome payload; an
+	// in-process worker uses the coordinator's. Both must journal the same
+	// merge-visible content for every item, and the in-process fleet must
+	// refuse a Welcome naming another run.
+	cfg := microCfg(69)
+	cfg.Workers = 0
+	nr, err := netRunSetup(&cfg, ShardedConfig{Shards: 2, Dir: t.TempDir()}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet, newBench, err := nr.localFleet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := newBench(nr.rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := worldgen.Builds()
+	remote, err := benchFromRunConfig(nr.rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := worldgen.Builds() - before; n != 1 {
+		t.Fatalf("remote bench built %d worlds, want 1", n)
+	}
+	visible := func(data []byte) string {
+		rec, res, err := decodeShardRecord(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(struct {
+			App    ExportedApp
+			Probes []ExportedProbe
+		}{exportApp(res, rec.Datasets), rec.Probes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for slice, rg := range fleet.ranges {
+		for item := 0; item < rg[1]; item++ {
+			l, err := local.RunItem(slice, item)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := remote.RunItem(slice, item)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if visible(l) != visible(r) {
+				t.Fatalf("slice %d item %d: remote record diverges from the local fleet's:\n%s\n%s", slice, item, visible(r), visible(l))
+			}
+		}
+	}
+
+	other := microCfg(70)
+	other.Window = 30
+	rc, err := encodeNetRunConfig(other, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := newBench(rc); err == nil || !strings.Contains(err.Error(), "different run") {
+		t.Fatalf("local fleet given another run's Welcome: %v, want a different-run error", err)
+	}
+}
+
+func TestNetPlanCombinesExplicitKillsWithDerivedNetFamily(t *testing.T) {
+	ranges := sliceRanges(40, 4)
+	derived := faultinject.DeriveShardPlan(5, 1.0, 4, sliceItems(ranges))
+	if derived == nil || !derived.Net.Any() || len(derived.Kills) == 0 {
+		t.Fatalf("rate 1.0 derived %+v, want kills and network chaos", derived)
+	}
+	explicit := &faultinject.ShardPlan{Kills: []faultinject.ShardKill{{Slice: 1, AfterResults: 2}}}
+
+	if got := netPlan(5, ShardedConfig{Faults: explicit}, 4, ranges); got != explicit {
+		t.Fatal("rate 0 changed the explicit plan")
+	}
+	if got := netPlan(5, ShardedConfig{NetChaosRate: 1.0}, 4, ranges); !reflect.DeepEqual(got, derived) {
+		t.Fatalf("no explicit plan: got %+v, want the derived plan wholesale", got)
+	}
+	got := netPlan(5, ShardedConfig{Faults: explicit, NetChaosRate: 1.0}, 4, ranges)
+	if !reflect.DeepEqual(got.Kills, explicit.Kills) || !reflect.DeepEqual(got.Net, derived.Net) {
+		t.Fatalf("explicit kills plus rate: got %+v, want the explicit kills and the derived network family", got)
+	}
+	if explicit.Net != nil {
+		t.Fatal("netPlan wrote into the caller's plan")
 	}
 }

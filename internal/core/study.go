@@ -12,10 +12,10 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"pinscope/internal/appmodel"
+	"pinscope/internal/apppkg"
 	"pinscope/internal/appstore"
 	"pinscope/internal/detrand"
 	"pinscope/internal/device"
@@ -560,10 +560,11 @@ func (l *lab) studyAppResilient(app *appmodel.App, common bool) *AppResult {
 	var best *AppResult
 	var failures []error
 	var valids []*dynamicanalysis.Result // per-attempt valid differentials
+	var dump *apppkg.Package             // the decrypted package, once an attempt obtained it
 	attempts := 0
 	for a := 0; a < maxAttempts; a++ {
 		attempts++
-		res, err := l.studyApp(app, common, l.cfg.Faults.ForApp(key, a))
+		res, err := l.studyApp(app, common, l.cfg.Faults.ForApp(key, a), &dump)
 		if err != nil {
 			failures = append(failures, fmt.Errorf("attempt %d: %w", a+1, err))
 		} else if res.Dyn != nil {
@@ -627,7 +628,7 @@ func (l *lab) studyAppResilient(app *appmodel.App, common bool) *AppResult {
 		}
 		for a := attempts; a < maxAttempts && contested(); a++ {
 			attempts++
-			res, err := l.studyApp(app, common, l.cfg.Faults.ForApp(key, a))
+			res, err := l.studyApp(app, common, l.cfg.Faults.ForApp(key, a), &dump)
 			if err != nil {
 				failures = append(failures, fmt.Errorf("attempt %d: %w", a+1, err))
 			} else if res.Dyn != nil {
@@ -678,8 +679,10 @@ func (l *lab) studyAppResilient(app *appmodel.App, common bool) *AppResult {
 // studyApp runs the full per-app pipeline for one measurement attempt. The
 // returned error marks a hard failure of the dynamic differential (an
 // injected crash killed a leg before any connection); res is still valid,
-// carrying whatever the attempt salvaged.
-func (l *lab) studyApp(app *appmodel.App, common bool, af *faultinject.AppFaults) (res *AppResult, err error) {
+// carrying whatever the attempt salvaged. *dump carries the decrypted
+// package across the app's attempts: once one attempt has it, later
+// attempts reuse it and skip the decryption fault.
+func (l *lab) studyApp(app *appmodel.App, common bool, af *faultinject.AppFaults, dump **apppkg.Package) (res *AppResult, err error) {
 	res = &AppResult{App: app}
 	plat := app.Platform
 
@@ -707,13 +710,18 @@ func (l *lab) studyApp(app *appmodel.App, common bool, af *faultinject.AppFaults
 		l.proxy.SetForgeFaults(nil)
 	}()
 
-	// --- static (§4.1): decrypt iOS packages on the jailbroken device.
-	if app.Pkg != nil && app.Pkg.Encrypted && af.DecryptFails() {
+	// --- static (§4.1): dump iOS packages on the jailbroken device. The
+	// dump is a private copy: the world's store package stays encrypted, so
+	// an app measures the same however many times, and by however many
+	// labs, it is measured — what lets sharded fleets and chaos drills
+	// share one world.
+	if *dump == nil && app.Pkg != nil && app.Pkg.Encrypted && af.DecryptFails() {
 		res.StaticErr = faultinject.ErrTransient("decryption", app.ID)
-	} else if err := l.mitm[plat].DecryptApp(app); err != nil {
-		res.StaticErr = err
-	} else {
-		rep, err := staticanalysis.Analyze(app)
+	} else if *dump == nil {
+		*dump, res.StaticErr = l.mitm[plat].DumpPackage(app)
+	}
+	if res.StaticErr == nil {
+		rep, err := staticanalysis.AnalyzePackage(app, *dump)
 		if err != nil {
 			res.StaticErr = err
 		} else {
@@ -843,7 +851,7 @@ func (s *Study) buildPairs() {
 }
 
 // probePinnedDests fetches served chains at every pinned destination and
-// classifies their PKI (Table 6). Flaky hosts are offline by probe time.
+// classifies their PKI (Table 6).
 func (s *Study) probePinnedDests() error {
 	dests := map[string]bool{}
 	for _, r := range s.results {
@@ -851,45 +859,50 @@ func (s *Study) probePinnedDests() error {
 			dests[d] = true
 		}
 	}
-	sorted := make([]string, 0, len(dests))
+	p := newProber(s.Cfg, s.World)
+	s.Probes = make(map[string]*DestProbe, len(dests))
 	for d := range dests {
-		sorted = append(sorted, d)
+		s.Probes[d] = p.probe(d)
 	}
-	sort.Strings(sorted)
-	s.Probes = probeDests(s.Cfg, s.World, sorted)
 	return nil
 }
 
-// probeDests probes and classifies pinned destinations (sorted order is
-// the probe order) — shared by the in-process study and the streaming
-// shard merge, which both must classify the identical destination set
-// identically. The prober trusts the run's configured Android store (the
-// timeline point's, when one is set), though classification itself is
-// store-independent: probes fetch chains without validating, and the
-// default-PKI check runs against the static Mozilla reference bundle.
-func probeDests(cfg Config, w *worldgen.World, sorted []string) map[string]*DestProbe {
-	probeNet := w.NewNetwork(false) // flaky hosts are gone
-	prober := device.New(appmodel.Android, probeNet, cfg.baseStores(w)[appmodel.Android],
-		detrand.New(cfg.Params.Seed).Child("prober"))
+// prober probes and classifies pinned destinations. Its network leaves
+// flaky hosts out (they are offline by probe time) and every other host
+// serves its fixed chain, so a probe is a pure function of (run config,
+// destination) — independent of probe order, of which prober asks, and of
+// how often. That is what lets the study probe once at the end while shard
+// workers probe per journal record, with identical results. The prober
+// trusts the run's configured Android store (the timeline point's, when
+// one is set), though classification itself is store-independent: probes
+// fetch chains without validating, and the default-PKI check runs against
+// the static Mozilla reference bundle.
+type prober struct {
+	w   *worldgen.World
+	dev *device.Device
+}
 
-	probes := make(map[string]*DestProbe, len(sorted))
-	for _, dest := range sorted {
-		p := &DestProbe{Dest: dest}
-		chain, err := prober.ProbeChain(dest)
-		if err != nil {
-			p.Unavailable = true
-		} else {
-			p.Chain = chain
-			switch {
-			case w.Eco.IsDefaultPKI(chain, dest):
-				p.DefaultPKI = true
-			case len(chain) == 1:
-				p.SelfSigned = true
-			default:
-				p.CustomPKI = true
-			}
-		}
-		probes[dest] = p
+func newProber(cfg Config, w *worldgen.World) *prober {
+	return &prober{w: w, dev: device.New(appmodel.Android, w.NewNetwork(false), cfg.baseStores(w)[appmodel.Android],
+		detrand.New(cfg.Params.Seed).Child("prober"))}
+}
+
+// probe fetches the chain served at dest and classifies it.
+func (p *prober) probe(dest string) *DestProbe {
+	dp := &DestProbe{Dest: dest}
+	chain, err := p.dev.ProbeChain(dest)
+	if err != nil {
+		dp.Unavailable = true
+		return dp
 	}
-	return probes
+	dp.Chain = chain
+	switch {
+	case p.w.Eco.IsDefaultPKI(chain, dest):
+		dp.DefaultPKI = true
+	case len(chain) == 1:
+		dp.SelfSigned = true
+	default:
+		dp.CustomPKI = true
+	}
+	return dp
 }

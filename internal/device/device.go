@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"pinscope/internal/appmodel"
+	"pinscope/internal/apppkg"
 	"pinscope/internal/detrand"
 	"pinscope/internal/faultinject"
 	"pinscope/internal/frida"
@@ -83,17 +84,29 @@ func (d *Device) UseStores(user, system *pki.RootStore) {
 // it automatically (see memo.go for the contract).
 func (d *Device) UseHandshakeMemo(m *HandshakeMemo) { d.memo = m }
 
-// DecryptApp returns the decrypted package of an iOS app, as Flexdecrypt or
-// Frida-iOS-Dump would. It fails off-jailbreak, which is what limited the
-// paper's iOS dataset size (Appendix A).
-func (d *Device) DecryptApp(app *appmodel.App) error {
+// DumpPackage returns the decrypted package of an iOS app, as Flexdecrypt
+// or Frida-iOS-Dump would, leaving the app's store package untouched (see
+// apppkg.Package.Decrypted). Packages that are not encrypted come back as
+// they are. It fails off-jailbreak, which is what limited the paper's iOS
+// dataset size (Appendix A).
+func (d *Device) DumpPackage(app *appmodel.App) (*apppkg.Package, error) {
 	if app.Pkg == nil || !app.Pkg.Encrypted {
-		return nil
+		return app.Pkg, nil
 	}
 	if !d.Jailbroken {
-		return fmt.Errorf("device: cannot decrypt %s without a jailbreak", app.ID)
+		return nil, fmt.Errorf("device: cannot decrypt %s without a jailbreak", app.ID)
 	}
-	app.Pkg.DecryptIOS()
+	return app.Pkg.Decrypted(), nil
+}
+
+// DecryptApp replaces the app's package with its decrypted dump
+// (DumpPackage).
+func (d *Device) DecryptApp(app *appmodel.App) error {
+	pkg, err := d.DumpPackage(app)
+	if err != nil {
+		return err
+	}
+	app.Pkg = pkg
 	return nil
 }
 

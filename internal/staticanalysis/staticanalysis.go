@@ -94,18 +94,25 @@ func (r *Report) UniquePins() []pki.Pin {
 // (device.DecryptApp), otherwise an error is returned, mirroring the
 // encrypted-IPA obstacle of Appendix A.
 func Analyze(app *appmodel.App) (*Report, error) {
-	if app.Pkg == nil {
+	return AnalyzePackage(app, app.Pkg)
+}
+
+// AnalyzePackage is Analyze over pkg in place of app.Pkg — the study hands
+// it a decrypted dump (device.DumpPackage) and leaves the app's store
+// package as it is.
+func AnalyzePackage(app *appmodel.App, pkg *apppkg.Package) (*Report, error) {
+	if pkg == nil {
 		return nil, fmt.Errorf("staticanalysis: app %s has no package", app.ID)
 	}
-	if app.Pkg.Encrypted {
+	if pkg.Encrypted {
 		return nil, fmt.Errorf("staticanalysis: package %s is encrypted; decrypt on a jailbroken device first", app.ID)
 	}
 	r := &Report{AppID: app.ID, Platform: app.Platform}
-	scanFiles(app.Pkg, r)
+	scanFiles(pkg, r)
 	if app.Platform == appmodel.Android {
-		analyzeNSC(app.Pkg, r)
+		analyzeNSC(pkg, r)
 	} else {
-		analyzeEntitlements(app.Pkg, r)
+		analyzeEntitlements(pkg, r)
 	}
 	return r, nil
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"pinscope/internal/appmodel"
 	"pinscope/internal/appstore"
@@ -148,8 +149,18 @@ type World struct {
 	sdkPins map[string]*pki.PinSet
 }
 
+// builds counts Build calls in this process.
+var builds atomic.Int64
+
+// Builds reports how many worlds this process has built. A world build is
+// the costliest set-up step, so the paths that must not pay for one (the
+// shard merge) or must pay exactly once (an in-process shard fleet) are
+// held to it by tests.
+func Builds() int64 { return builds.Load() }
+
 // Build generates the world. It is deterministic in Params.
 func Build(p Params) (*World, error) {
+	builds.Add(1)
 	rng := detrand.New(p.Seed)
 	eco, err := pki.BuildEcosystem(rng.Child("pki"))
 	if err != nil {

@@ -592,32 +592,6 @@ func netShardStats(stats *core.NetShardStats) *NetShardStats {
 	}
 }
 
-// netConfig renders the options for a transported run, deriving the
-// seeded network fault plan when NetChaosRate is set: with no explicit
-// kills the derived plan applies wholesale; with explicit kills only its
-// network family rides along (mixing two kill sources could leave no
-// surviving worker).
-func (o ShardOptions) netConfig(cfg core.Config) (core.ShardedConfig, error) {
-	sc := core.ShardedConfig{
-		Shards:  o.Shards,
-		Workers: o.Workers,
-		Dir:     o.Dir,
-		Faults:  o.plan(o.KillTorn),
-	}
-	if o.NetChaosRate > 0 {
-		derived, err := core.DeriveNetPlan(cfg, sc, o.NetChaosRate)
-		if err != nil {
-			return sc, err
-		}
-		if sc.Faults == nil {
-			sc.Faults = derived
-		} else if derived != nil {
-			sc.Faults.Net = derived.Net
-		}
-	}
-	return sc, nil
-}
-
 // RunShardedNet executes the sharded study over the deterministic
 // simulated network: the coordinator and its worker fleet exchange
 // framed messages — heartbeats separated from result streams — through an
@@ -631,11 +605,13 @@ func RunShardedNet(cfg Config, opts ShardOptions) (*NetShardStats, error) {
 	if cfg.JournalPath != "" || cfg.KillAfter > 0 {
 		return nil, errors.New("pinscope: sharded runs journal per shard; JournalPath and KillAfter do not apply")
 	}
-	sc, err := opts.netConfig(cc)
-	if err != nil {
-		return nil, err
-	}
-	stats, err := core.RunShardedNet(cc, sc)
+	stats, err := core.RunShardedNet(cc, core.ShardedConfig{
+		Shards:       opts.Shards,
+		Workers:      opts.Workers,
+		Dir:          opts.Dir,
+		Faults:       opts.plan(opts.KillTorn),
+		NetChaosRate: opts.NetChaosRate,
+	})
 	if stats == nil {
 		return nil, err
 	}
@@ -781,10 +757,12 @@ func (ts *TimelineStudy) PointStudy(tag string) (*Study, error) {
 }
 
 // MergeShards streams a completed sharded run's journals into one exported
-// dataset, byte-identical to the unsharded export of the same Config. The
-// merge is bounded-memory — one journal frame in flight at a time — and
-// fails loudly (without emitting a partial dataset) if any shard journal is
-// incomplete, corrupt, or from a different run.
+// dataset, byte-identical to the unsharded export of the same Config. It
+// needs only the journals and the Config — it never builds the world — so
+// it can run in any later process. The merge is bounded-memory — one
+// journal frame in flight at a time — and fails loudly if any shard
+// journal is incomplete, corrupt, from a different run or shard layout, or
+// disagrees with another about a destination's probe.
 func MergeShards(w io.Writer, cfg Config, opts ShardOptions) error {
 	return core.MergeShards(w, cfg.toCore(), core.ShardedConfig{
 		Shards: opts.Shards,

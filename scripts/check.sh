@@ -3,7 +3,8 @@
 # pinlint invariant suite diffed against its checked-in baseline, full
 # test suite (shuffled), a race-detector pass over the whole tree (minus
 # the slowest fault-injection e2e sweeps), a race-checked network-chaos
-# smoke over both shard transports, a one-iteration benchmark smoke, and
+# smoke over both shard transports, a longitudinal kill/resume smoke, a
+# cross-process shard merge smoke, a one-iteration benchmark smoke, and
 # a short fuzz smoke over journal recovery.
 set -eu
 
@@ -94,6 +95,16 @@ go run ./cmd/pinstudy -scale mini -timeline -points "$pts" -journal "$tldir/wal"
 for tag in froyo kitkat distrust-ca-distrust; do
     cmp "$tldir/clean-$tag.json" "$tldir/resumed-$tag.json"
 done
+
+# Cross-process merge smoke: a mini sharded run in one process, its merge
+# in a second process that has only the journals and the flags (the merge
+# builds no world), and the merged export byte-compared with an unsharded
+# run's.
+echo "==> cross-process merge smoke (shard, merge in a new process, byte-compare)"
+go run ./cmd/pinstudy -scale mini -shards 3 -journal "$tldir/shards" > /dev/null
+go run ./cmd/pinstudy -scale mini -shards 3 -journal "$tldir/shards" -merge -export "$tldir/merged.json" > /dev/null
+go run ./cmd/pinstudy -scale mini -export "$tldir/single.json" > /dev/null
+cmp "$tldir/single.json" "$tldir/merged.json"
 
 # One iteration of every benchmark: proves the suite (including the
 # crypto-plane trajectory benches) still runs; numbers are discarded.
