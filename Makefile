@@ -65,10 +65,11 @@ resume-demo:
 	@echo "resume-demo: resumed export is byte-identical to the uninterrupted run"
 
 # shard-demo shows the crash-tolerant sharded coordinator end to end: the
-# mini study runs as 4 crash-only slices with two workers killed mid-slice
-# (survivors take over the expired leases and resume from the dead shards'
-# journals), then the slice journals are stream-merged; the merged export
-# must be byte-identical to an unsharded same-seed run's.
+# mini study runs as 4 crash-only slices on an in-process worker fleet with
+# two workers killed mid-slice (survivors take over the dead workers'
+# leases and resume at the slices' journal cursors), then the slice
+# journals are stream-merged; the merged export must be byte-identical to
+# an unsharded same-seed run's.
 shard-demo:
 	rm -rf /tmp/pinscope-shards /tmp/pinscope-sharded.json* /tmp/pinscope-unsharded.json*
 	$(GO) run ./cmd/pinstudy -scale mini -export /tmp/pinscope-unsharded.json > /dev/null

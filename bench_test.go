@@ -462,60 +462,23 @@ func BenchmarkStudySingleShard(b *testing.B) {
 
 func BenchmarkStudyShardedEndToEnd(b *testing.B) {
 	// The full crash-tolerant path: 4 workers over 4 slices with shard
-	// kills at two distinct slice boundaries and an induced lease expiry,
-	// then the streaming merge. Despite two worker deaths and a fenced
-	// split-brain holder per iteration, the merged export is the canonical
-	// dataset — scripts/bench.sh records the ratio to the single-shard
-	// benchmark as speedup_vs_single_shard (≈1 on a single-core runner,
-	// where extra workers add only coordination).
+	// kills at two distinct slice boundaries and a partition that expires
+	// a live holder's lease, then the streaming merge. Despite two worker
+	// deaths and a split-brain holder per iteration, the merged export is
+	// the canonical dataset — scripts/bench.sh records the ratio to the
+	// single-shard benchmark as speedup_vs_single_shard (≈1 on a
+	// single-core runner, where extra workers add only coordination).
 	faults := &faultinject.ShardPlan{
 		Kills: []faultinject.ShardKill{
 			{Slice: 1, AfterResults: 2, TornBytes: 7},
 			{Slice: 3, AfterResults: 1, TornBytes: 13},
 		},
-		Expiries: []faultinject.LeaseExpiry{{Slice: 2, AfterResults: 1}},
+		Net: &faultinject.NetChaos{Partitions: []faultinject.NetPartition{
+			{Slice: 2, AfterItem: 1, Ticks: 3 * faultinject.NetTTL / 2},
+		}},
 	}
 	for i := 0; i < b.N; i++ {
 		benchSharded(b, 4, 4, faults)
-	}
-}
-
-func BenchmarkStudyShardNetSim(b *testing.B) {
-	// The transported analogue of BenchmarkStudyShardedEndToEnd: the same
-	// 4-worker/4-slice workload with two injected worker deaths, but
-	// every welcome, grant, heartbeat, and result crosses the simulated
-	// message-framed transport — frame encode/decode, the coordinator's
-	// event loop, lease takeover over the wire, and the clock-warp
-	// machinery. scripts/bench.sh records the ratio to the in-process
-	// sharded benchmark as transport_overhead_vs_inprocess.
-	faults := &faultinject.ShardPlan{
-		Kills: []faultinject.ShardKill{
-			{Slice: 1, AfterResults: 2, TornBytes: 7},
-			{Slice: 3, AfterResults: 1, TornBytes: 13},
-		},
-	}
-	for i := 0; i < b.N; i++ {
-		benchShardNet(b, 4, 4, faults)
-	}
-}
-
-// benchShardNet runs one transported sharded iteration: run over the
-// simulated network, merge, discard.
-func benchShardNet(b *testing.B, shards, workers int, faults *faultinject.ShardPlan) {
-	b.Helper()
-	cfg := core.TestConfig(9001) // same seed as the in-process benches: comparable work
-	dir, err := os.MkdirTemp("", "pinscope-bench-shardnet-*")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-	sc := core.ShardedConfig{Shards: shards, Workers: workers, Dir: dir, Faults: faults}
-	if _, err := core.RunShardedNet(cfg, sc); err != nil {
-		b.Fatal(err)
-	}
-	sc.Faults = nil
-	if err := core.MergeShards(io.Discard, cfg, sc); err != nil {
-		b.Fatal(err)
 	}
 }
 

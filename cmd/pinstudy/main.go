@@ -66,7 +66,7 @@ func main() {
 	jpath := flag.String("journal", "", "write-ahead journal path: stream results durably as they complete")
 	resume := flag.Bool("resume", false, "resume from an existing -journal, replaying completed apps")
 	killAfter := flag.Int("kill-after", 0, "fault injection: die after N journaled results (requires -journal)")
-	killTorn := flag.Int("kill-torn", 0, "fault injection: bytes of the interrupted frame left on disk")
+	killTorn := flag.Int("kill-torn", 0, "fault injection: bytes of the interrupted frame left on disk (with -kill-after); no effect on -shard-kill deaths, which tear only a TCP wire frame")
 	shards := flag.Int("shards", 0, "run the study as N crash-only slices; -journal names the shard directory")
 	shardKill := flag.String("shard-kill", "", "fault injection: comma-separated slice@afterN worker deaths (requires -shards)")
 	merge := flag.Bool("merge", false, "merge a completed sharded run's journals into the dataset (requires -shards)")

@@ -12,7 +12,7 @@ import (
 	"os"
 
 	"pinscope/internal/faultinject"
-	"pinscope/internal/shardcoord"
+	"pinscope/internal/shardnet"
 	"pinscope/internal/worldgen"
 )
 
@@ -25,34 +25,22 @@ type ChaosPoint struct {
 	// of the dynamic pinning prevalence versus the fault-free reference, in
 	// percentage points.
 	MaxAbsDriftPP float64
-	// Sharded is the shard-death drill at this rate: the same point rerun
-	// as a 4-shard sharded study under a ShardPlan derived from (seed,
-	// rate), with the merged export held against the point's own export.
-	// Nil for the rate-0 reference and for rates whose derived plan is
-	// empty.
+	// Sharded is the shard drill at this rate: the same point rerun as a
+	// 4-shard sharded study under the ShardPlan derived from (seed, rate)
+	// — worker kills plus the simulated network's delays, drops,
+	// duplicate deliveries and partitions — with the merged export held
+	// against the point's own export. Nil for the rate-0 reference and
+	// for rates whose derived plan is empty.
 	Sharded *ShardDrill
-	// Net is the network-chaos drill at this rate: the same point rerun
-	// over the simulated shardnet transport under the derived plan's
-	// network fault family (delays, drops, duplicate delivery,
-	// partitions) plus its worker kills, again held byte-identical to the
-	// point's own export. Nil under the same conditions as Sharded.
-	Net *NetDrill
 }
 
-// ShardDrill is one chaos point's sharded rerun: coordinator accounting
-// plus the merge-equivalence verdict. ChaosSweep fails loudly if the merge
-// diverges, so a recorded drill always has ByteIdentical true — the field
-// keeps the report honest about what was checked rather than assumed.
+// ShardDrill is one chaos point's sharded rerun: coordinator accounting,
+// the injected network fault count, and the merge-equivalence verdict.
+// ChaosSweep fails loudly if the merge diverges, so a recorded drill
+// always has ByteIdentical true — the field keeps the report honest about
+// what was checked rather than assumed.
 type ShardDrill struct {
-	Stats         shardcoord.Stats
-	ByteIdentical bool
-}
-
-// NetDrill is one chaos point's transported rerun over the simulated
-// network: transport accounting, the injected fault counts, and the
-// merge-equivalence verdict (same loud-failure contract as ShardDrill).
-type NetDrill struct {
-	Stats         NetShardStats
+	Stats         shardnet.Stats
 	NetFaults     int
 	ByteIdentical bool
 }
@@ -67,7 +55,7 @@ func DynamicPrevalencePct(c Table3Cell) float64 {
 
 // ChaosSweep reruns the study at each fault rate (plus a rate-0 reference)
 // and reports per-rate robustness accounting and Table 3 drift. Each point
-// builds its own world, which the point's shard and net drills reuse.
+// builds its own world, which the point's shard drill reuses.
 //
 // Points with a positive rate run with a Uniform fault plan seeded from
 // cfg.Params.Seed and at least two retries, so the sweep exercises the full
@@ -127,49 +115,23 @@ func chaosPoint(cfg Config, rate float64) (ChaosPoint, error) {
 		if err != nil {
 			return ChaosPoint{}, err
 		}
-		pt.Net, err = netDrill(cfg, rate, s)
-		if err != nil {
-			return ChaosPoint{}, err
-		}
 	}
 	return pt, nil
 }
 
-// drillShards is both drills' shard and worker count.
+// drillShards is the drill's shard and worker count.
 const drillShards = 4
 
-// drillPlan derives the seeded shard fault plan both drills run a chaos
-// point under, sized from the point's own world. Nil when the plan is
-// empty.
-func drillPlan(cfg Config, rate float64, s *Study) *faultinject.ShardPlan {
-	items := sliceItems(sliceRanges(len(studyWork(s.World)), drillShards))
-	return faultinject.DeriveShardPlan(cfg.Params.Seed, rate, drillShards, items)
-}
-
-// drillMerge merges a drill's journals and holds the result against the
-// point's own export byte for byte.
-func drillMerge(cfg Config, s *Study, dir, drill string, rate float64) error {
-	var single, merged bytes.Buffer
-	if err := s.WriteJSON(&single); err != nil {
-		return err
-	}
-	if err := MergeShards(&merged, cfg, ShardedConfig{Shards: drillShards, Dir: dir}); err != nil {
-		return fmt.Errorf("core: chaos %s drill at rate %g: %w", drill, rate, err)
-	}
-	if !bytes.Equal(merged.Bytes(), single.Bytes()) {
-		return fmt.Errorf("core: chaos %s drill at rate %g: merged export diverges from the point's own export (%d vs %d bytes)",
-			drill, rate, merged.Len(), single.Len())
-	}
-	return nil
-}
-
-// shardDrill reruns one chaos point as a sharded study under a derived
-// shard-death plan, on the point's own world, and verifies the merged
-// export matches the point's own export byte for byte — the sweep's
-// coverage of the crash-tolerance machinery: rising fault rates kill
-// shards too, and the dataset must not notice.
+// shardDrill reruns one chaos point as a sharded study on the point's own
+// world, under the shard fault plan derived from (seed, rate) and sized
+// from that world — kills become mid-stream worker deaths, and the plan's
+// network family batters the simulated wire — then holds the merged
+// export against the point's own export byte for byte: the sweep's proof
+// that rising fault rates and a hostile network degrade progress, never
+// data.
 func shardDrill(cfg Config, rate float64, s *Study) (*ShardDrill, error) {
-	plan := drillPlan(cfg, rate, s)
+	items := sliceItems(sliceRanges(len(studyWork(s.World)), drillShards))
+	plan := faultinject.DeriveShardPlan(cfg.Params.Seed, rate, drillShards, items)
 	if plan == nil {
 		return nil, nil
 	}
@@ -178,38 +140,21 @@ func shardDrill(cfg Config, rate float64, s *Study) (*ShardDrill, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	stats, err := runShardedOn(cfg, ShardedConfig{Shards: drillShards, Workers: drillShards, Dir: dir, Faults: plan}, s.World)
+	sc := ShardedConfig{Shards: drillShards, Workers: drillShards, Dir: dir, Faults: plan}
+	stats, err := runShardedOn(cfg, sc, s.World)
 	if err != nil {
 		return nil, fmt.Errorf("core: chaos shard drill at rate %g: %w", rate, err)
 	}
-	if err := drillMerge(cfg, s, dir, "shard", rate); err != nil {
+	var single, merged bytes.Buffer
+	if err := s.WriteJSON(&single); err != nil {
 		return nil, err
 	}
-	return &ShardDrill{Stats: *stats, ByteIdentical: true}, nil
-}
-
-// netDrill reruns one chaos point over the simulated shardnet transport
-// under the same derived fault plan, again on the point's own world —
-// kills become mid-stream connection deaths, and the plan's network family
-// batters the wire itself — then holds the merged export against the
-// point's own export byte for byte: the sweep's proof that a hostile
-// network degrades progress, never data.
-func netDrill(cfg Config, rate float64, s *Study) (*NetDrill, error) {
-	plan := drillPlan(cfg, rate, s)
-	if plan == nil {
-		return nil, nil
+	if err := MergeShards(&merged, cfg, sc); err != nil {
+		return nil, fmt.Errorf("core: chaos shard drill at rate %g: %w", rate, err)
 	}
-	dir, err := os.MkdirTemp("", "pinscope-chaos-net-*")
-	if err != nil {
-		return nil, err
+	if !bytes.Equal(merged.Bytes(), single.Bytes()) {
+		return nil, fmt.Errorf("core: chaos shard drill at rate %g: merged export diverges from the point's own export (%d vs %d bytes)",
+			rate, merged.Len(), single.Len())
 	}
-	defer os.RemoveAll(dir)
-	stats, err := runShardedNetOn(cfg, ShardedConfig{Shards: drillShards, Workers: drillShards, Dir: dir, Faults: plan}, s.World)
-	if err != nil {
-		return nil, fmt.Errorf("core: chaos net drill at rate %g: %w", rate, err)
-	}
-	if err := drillMerge(cfg, s, dir, "net", rate); err != nil {
-		return nil, err
-	}
-	return &NetDrill{Stats: *stats, NetFaults: plan.Net.Faults(), ByteIdentical: true}, nil
+	return &ShardDrill{Stats: *stats, NetFaults: plan.Net.Faults(), ByteIdentical: true}, nil
 }

@@ -129,7 +129,7 @@ func TestMergeBuildsNoWorld(t *testing.T) {
 
 func TestInProcessFleetsBuildOneWorld(t *testing.T) {
 	// Every worker of an in-process fleet shares the world the run built;
-	// given a world, as the chaos drills give the point's own, a fleet
+	// given a world, as the chaos drill gives the point's own, a fleet
 	// builds none.
 	cfg := microCfg(62)
 	cfg.Workers = 0
@@ -143,10 +143,8 @@ func TestInProcessFleetsBuildOneWorld(t *testing.T) {
 		built int64
 	}{
 		{"RunSharded", func(sc ShardedConfig) error { _, err := RunSharded(cfg, sc); return err }, 1},
-		{"RunShardedNet", func(sc ShardedConfig) error { _, err := RunShardedNet(cfg, sc); return err }, 1},
 		{"RunShardedTCP", func(sc ShardedConfig) error { _, err := RunShardedTCP(cfg, sc); return err }, 1},
 		{"runShardedOn", func(sc ShardedConfig) error { _, err := runShardedOn(cfg, sc, w); return err }, 0},
-		{"runShardedNetOn", func(sc ShardedConfig) error { _, err := runShardedNetOn(cfg, sc, w); return err }, 0},
 	}
 	for _, r := range runs {
 		before := worldgen.Builds()
@@ -160,7 +158,7 @@ func TestInProcessFleetsBuildOneWorld(t *testing.T) {
 }
 
 func TestStudyLeavesWorldReusable(t *testing.T) {
-	// Fleets and chaos drills measure against a world another study
+	// Fleets and the chaos drill measure against a world another study
 	// already measured, so a study must leave the world as it found it.
 	// Decryption faults are the ones that read package state: on a used
 	// world a rerun must still fail decryption on the same attempts, so

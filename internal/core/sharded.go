@@ -3,11 +3,13 @@ package core
 // sharded.go runs the study as a fleet of crash-only shards. The app
 // universe — the same deduped work list a single-process run uses,
 // re-sorted into export order — is cut into contiguous slices;
-// internal/shardcoord hands the slices to workers under crash-tolerant
-// leases, and every worker journals its slice through the same WAL the
-// single-process runner uses. The fleet builds its world once: every
-// in-process worker measures against that one world and one crypto plane,
-// adding only its private lab and prober.
+// internal/shardnet's coordinator hands the slices to workers under
+// crash-tolerant leases and journals each slice through the same WAL the
+// single-process runner uses. RunSharded runs the fleet in this process,
+// over shardnet's simulated network: frames pass in memory, and a fault
+// plan can batter them. The fleet builds its world once: every in-process
+// worker measures against that one world and one crypto plane, adding
+// only its private lab and prober.
 //
 // Each slice journal record is self-contained. Besides the measured
 // result it carries the app's export header, its dataset membership and
@@ -24,9 +26,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 
 	"pinscope/internal/faultinject"
-	"pinscope/internal/shardcoord"
+	"pinscope/internal/shardnet"
 	"pinscope/internal/worldgen"
 )
 
@@ -40,14 +43,12 @@ type ShardedConfig struct {
 	// Rerunning over an interrupted run's directory resumes from the
 	// journals instead of recomputing.
 	Dir string
-	// LeaseTTL is the lease duration in logical ticks (0 = default).
-	LeaseTTL int64
-	// Faults is the deterministic shard-death plan (kills, induced lease
-	// expiries). Nil injects nothing.
+	// Faults is the deterministic shard fault plan: worker kills, and for
+	// RunSharded the simulated network's faults. Nil injects nothing.
 	Faults *faultinject.ShardPlan
-	// NetChaosRate, for RunShardedNet only, derives a seeded fault plan
-	// from (seed, rate, slice sizes): applied wholesale when Faults is
-	// nil, otherwise only its network family rides along (mixing two kill
+	// NetChaosRate, for RunSharded, derives a seeded fault plan from
+	// (seed, rate, slice sizes): applied wholesale when Faults is nil,
+	// otherwise only its network family rides along (mixing two kill
 	// sources could leave no surviving worker). 0 derives nothing.
 	NetChaosRate float64
 }
@@ -103,9 +104,9 @@ func sliceItems(ranges [][2]int) []int {
 	return items
 }
 
-// shardSlices renders the shardcoord slice list for (cfg, sc, ranges).
-func shardSlices(cfg Config, sc ShardedConfig, ranges [][2]int) ([]shardcoord.Slice, error) {
-	slices := make([]shardcoord.Slice, 0, len(ranges))
+// shardSlices renders the coordinator's slice list for (cfg, sc, ranges).
+func shardSlices(cfg Config, sc ShardedConfig, ranges [][2]int) ([]shardnet.Slice, error) {
+	slices := make([]shardnet.Slice, 0, len(ranges))
 	for i, rg := range ranges {
 		meta, err := json.Marshal(shardMeta{
 			Run: metaFor(cfg), Slice: i, Slices: len(ranges), Start: rg[0], Count: rg[1],
@@ -113,7 +114,7 @@ func shardSlices(cfg Config, sc ShardedConfig, ranges [][2]int) ([]shardcoord.Sl
 		if err != nil {
 			return nil, err
 		}
-		slices = append(slices, shardcoord.Slice{Path: shardPath(sc.Dir, i), Meta: meta, Items: rg[1]})
+		slices = append(slices, shardnet.Slice{Path: shardPath(sc.Dir, i), Meta: meta, Items: rg[1]})
 	}
 	return slices, nil
 }
@@ -180,7 +181,7 @@ func (f *shardFleet) newBench() (*shardBench, error) {
 	return &shardBench{fleet: f, lab: lab, prober: newProber(f.cfg, f.w), probed: map[string]ExportedProbe{}}, nil
 }
 
-// shardBench adapts one worker's lab to the coordinators. Benches are
+// shardBench adapts one worker's lab to shardnet.Bench. Benches are
 // single-goroutine: each worker owns one.
 type shardBench struct {
 	fleet  *shardFleet
@@ -208,41 +209,79 @@ func (b *shardBench) RunItem(slice, item int) ([]byte, error) {
 }
 
 // RunSharded executes the study as sc.Shards crash-only slices under the
-// lease coordinator, leaving one complete journal per slice in sc.Dir.
-// It does not build a Study: the deliverable of a sharded run is its
-// journals, folded into an export by MergeShards. If the run is killed
-// (injected or real), rerunning with the same arguments resumes every
-// slice from its journal.
-func RunSharded(cfg Config, sc ShardedConfig) (*shardcoord.Stats, error) {
+// lease coordinator, with an in-process worker fleet on shardnet's
+// simulated network, leaving one complete journal per slice in sc.Dir.
+// The plan's network faults (sc.Faults.Net, plus the sc.NetChaosRate
+// derivation) batter the simulated wire; its kills become mid-stream
+// worker deaths. It does not build a Study: the deliverable of a sharded
+// run is its journals, folded into an export by MergeShards. If the run
+// is killed (injected or real), rerunning with the same arguments resumes
+// every slice from its journal.
+func RunSharded(cfg Config, sc ShardedConfig) (*shardnet.Stats, error) {
 	return runShardedOn(cfg, sc, nil)
 }
 
 // runShardedOn is RunSharded against an existing world (nil builds one
 // once the arguments check out). The world is only read, so a caller may
-// share it — the chaos drills rerun a point on the point's own world.
-func runShardedOn(cfg Config, sc ShardedConfig, w *worldgen.World) (*shardcoord.Stats, error) {
-	if err := prepareShardRun(&cfg, sc); err != nil {
-		return nil, err
-	}
-	if w == nil {
-		var err error
-		if w, err = worldgen.Build(cfg.Params); err != nil {
-			return nil, err
-		}
-	}
-	fleet, err := newShardFleet(cfg, w, sc.Shards)
+// share it — the chaos drill reruns a point on the point's own world.
+func runShardedOn(cfg Config, sc ShardedConfig, w *worldgen.World) (*shardnet.Stats, error) {
+	nr, err := netRunSetup(&cfg, sc, w)
 	if err != nil {
 		return nil, err
 	}
-	slices, err := shardSlices(cfg, sc, fleet.ranges)
+	fleet, newBench, err := nr.localFleet()
 	if err != nil {
 		return nil, err
 	}
-	return shardcoord.Run(shardcoord.Config{
-		Slices:   slices,
-		Workers:  sc.Workers,
-		LeaseTTL: sc.LeaseTTL,
-		Faults:   sc.Faults,
-		NewBench: func(int) (shardcoord.Bench, error) { return fleet.newBench() },
+	workers := fleetSize(sc)
+	plan := netPlan(cfg.Params.Seed, sc, workers, fleet.ranges)
+	net := shardnet.NewSimNet(plan.NetFaults())
+	coord, err := shardnet.NewCoordinator(shardnet.Config{
+		Listener:    net.Listener(),
+		Clock:       net,
+		Slices:      nr.slices,
+		RunConfig:   nr.rc,
+		BackoffSeed: cfg.Params.Seed,
 	})
+	if err != nil {
+		return nil, err
+	}
+	kill := plan.KillTap()
+	return shardnet.RunFleet(coord, workers, func(i int) error {
+		return shardnet.RunWorker(net.Dialer(), shardnet.WorkerOptions{
+			Clock:       net,
+			NewBench:    newBench,
+			Reconnects:  16,
+			BackoffSeed: cfg.Params.Seed,
+			Scope:       "sim/" + strconv.Itoa(i),
+			KillTap:     kill,
+		})
+	})
+}
+
+// netPlan is sc's fault plan with its NetChaosRate derivation applied:
+// the derived plan wholesale when sc.Faults is nil, otherwise only its
+// network family joins the explicit plan.
+func netPlan(seed int64, sc ShardedConfig, workers int, ranges [][2]int) *faultinject.ShardPlan {
+	if sc.NetChaosRate <= 0 {
+		return sc.Faults
+	}
+	derived := faultinject.DeriveShardPlan(seed, sc.NetChaosRate, workers, sliceItems(ranges))
+	switch {
+	case sc.Faults == nil:
+		return derived
+	case derived == nil:
+		return sc.Faults
+	}
+	p := *sc.Faults
+	p.Net = derived.Net
+	return &p
+}
+
+// fleetSize is the worker count of an in-process fleet.
+func fleetSize(sc ShardedConfig) int {
+	if sc.Workers > 0 {
+		return sc.Workers
+	}
+	return sc.Shards
 }

@@ -80,8 +80,8 @@ func shardedExport(t *testing.T, cfg Config, sc ShardedConfig) []byte {
 
 func TestShardedRunMergesByteIdentical(t *testing.T) {
 	// The acceptance shape: a sharded run with shard kills at two distinct
-	// slice boundaries plus an induced lease expiry must merge into the
-	// exact bytes an unsharded same-seed run exports.
+	// slice boundaries plus a partition that expires a live holder's lease
+	// must merge into the exact bytes an unsharded same-seed run exports.
 	cfg := microCfg(93)
 	single := exportBytes(t, runCfg(t, cfg))
 
@@ -96,7 +96,9 @@ func TestShardedRunMergesByteIdentical(t *testing.T) {
 				{Slice: 1, AfterResults: 1, TornBytes: 9},
 				{Slice: 3, AfterResults: 2, TornBytes: 3},
 			},
-			Expiries: []faultinject.LeaseExpiry{{Slice: 2, AfterResults: 1}},
+			Net: &faultinject.NetChaos{Partitions: []faultinject.NetPartition{
+				{Slice: 2, AfterItem: 1, Ticks: 3 * faultinject.NetTTL / 2},
+			}},
 		},
 	}
 	merged := shardedExport(t, shardedCfg, sc)
@@ -115,8 +117,11 @@ func TestShardedRunMergesByteIdentical(t *testing.T) {
 	if stats2.WorkersKilled != 2 {
 		t.Fatalf("WorkersKilled = %d, want 2", stats2.WorkersKilled)
 	}
-	if stats2.Expired < 2 { // each killed holder's lease must expire
-		t.Fatalf("Expired = %d, want >= 2", stats2.Expired)
+	if stats2.ConnDrops < 2 { // each killed holder's connection must drop
+		t.Fatalf("ConnDrops = %d, want >= 2", stats2.ConnDrops)
+	}
+	if stats2.Expired < 1 { // the partitioned holder's lease must expire
+		t.Fatalf("Expired = %d, want >= 1", stats2.Expired)
 	}
 	if stats2.ResumedFrames < 3 {
 		t.Fatalf("ResumedFrames = %d, want >= 3 (survivors must resume, not recompute)", stats2.ResumedFrames)

@@ -1,36 +1,31 @@
 package core
 
-// shardnet.go lifts the sharded study over internal/shardnet's message
-// transport: the coordinator ships each worker the run's identity — the
-// journalMeta the slice journals already carry, i.e. the seed and
-// parameters, never data. A remote worker (ConnectShardWorker) rebuilds
-// the world, the crypto plane and its lab from that alone. The in-process
-// fleets (RunShardedNet, RunShardedTCP) share the world the coordinator
-// already built and one crypto plane, as RunSharded does; their workers
-// still decode and round-trip-verify the shipped run config before they
-// touch that world. A transported run therefore leaves behind the same
-// slice journals an in-process RunSharded leaves behind, and MergeShards
-// consumes them unchanged; the merged export is held byte-identical to a
-// single-process run by the chaos drills and the public tests.
+// shardnet.go is the wire side of the sharded study: the coordinator ships
+// each worker the run's identity — the journalMeta the slice journals
+// already carry, i.e. the seed and parameters, never data. A remote worker
+// (ConnectShardWorker) rebuilds the world, the crypto plane and its lab
+// from that alone. The in-process fleets (RunSharded over the simulated
+// network, RunShardedTCP over loopback TCP) share the world the
+// coordinator already built and one crypto plane; their workers still
+// decode and round-trip-verify the shipped run config before they touch
+// that world. Every transport therefore leaves behind the same slice
+// journals, and MergeShards consumes them unchanged; the merged export is
+// held byte-identical to a single-process run by the chaos drill and the
+// public tests.
 //
-// Two entry points run the whole fleet in-process: RunShardedNet over the
-// deterministic simulated network (with the fault plan's network chaos
-// injected), RunShardedTCP over real loopback TCP. ServeShards and
-// ConnectShardWorker split coordinator and worker across processes — the
-// cross-machine recipe in the README.
+// ServeShards and ConnectShardWorker split coordinator and worker across
+// processes — the cross-machine recipe in the README.
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
 	"strconv"
-	"sync"
 	"time"
 
 	"pinscope/internal/appmodel"
 	"pinscope/internal/faultinject"
 	"pinscope/internal/pki"
-	"pinscope/internal/shardcoord"
 	"pinscope/internal/shardnet"
 	"pinscope/internal/worldgen"
 )
@@ -122,46 +117,6 @@ func benchFromRunConfig(raw []byte) (shardnet.Bench, error) {
 	return fleet.newBench()
 }
 
-// netKillTap renders the plan's kill family as a shardnet worker KillTap:
-// the holder dies right before sending result AfterResults, so exactly
-// AfterResults frames of that epoch reach the coordinator intact. Fires
-// once per slice, like every faultinject member.
-func netKillTap(plan *faultinject.ShardPlan) func(slice, item int) (int, bool) {
-	if plan == nil || len(plan.Kills) == 0 {
-		return nil
-	}
-	var mu sync.Mutex
-	fired := map[int]bool{}
-	return func(slice, item int) (int, bool) {
-		k := plan.KillFor(slice)
-		if k == nil || k.AfterResults != item {
-			return 0, false
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if fired[slice] {
-			return 0, false
-		}
-		fired[slice] = true
-		return k.TornBytes, true
-	}
-}
-
-func toNetSlices(slices []shardcoord.Slice) []shardnet.Slice {
-	out := make([]shardnet.Slice, 0, len(slices))
-	for _, s := range slices {
-		out = append(out, shardnet.Slice{Path: s.Path, Meta: s.Meta, Items: s.Items})
-	}
-	return out
-}
-
-// NetShardStats reports a transported sharded run: the coordinator's
-// transport accounting plus the injected worker deaths that fired.
-type NetShardStats struct {
-	Net           shardnet.Stats
-	WorkersKilled int
-}
-
 // netRun is the shared front half of every transported run: the slice
 // list, the wire run config, and the world both were derived from.
 type netRun struct {
@@ -190,7 +145,7 @@ func netRunSetup(cfg *Config, sc ShardedConfig, w *worldgen.World) (*netRun, err
 	if err != nil {
 		return nil, err
 	}
-	return &netRun{slices: toNetSlices(slices), rc: rc, w: w}, nil
+	return &netRun{slices: slices, rc: rc, w: w}, nil
 }
 
 // localFleet builds the in-process worker fleet of a transported run: one
@@ -215,119 +170,6 @@ func (nr *netRun) localFleet() (*shardFleet, func([]byte) (shardnet.Bench, error
 	}, nil
 }
 
-// netPlan is sc's fault plan with its NetChaosRate derivation applied:
-// the derived plan wholesale when sc.Faults is nil, otherwise only its
-// network family joins the explicit plan.
-func netPlan(seed int64, sc ShardedConfig, workers int, ranges [][2]int) *faultinject.ShardPlan {
-	if sc.NetChaosRate <= 0 {
-		return sc.Faults
-	}
-	derived := faultinject.DeriveShardPlan(seed, sc.NetChaosRate, workers, sliceItems(ranges))
-	switch {
-	case sc.Faults == nil:
-		return derived
-	case derived == nil:
-		return sc.Faults
-	}
-	p := *sc.Faults
-	p.Net = derived.Net
-	return &p
-}
-
-// runNetFleet drives one coordinator plus an in-process worker fleet to
-// completion and folds their outcomes together. Worker errors are
-// expected noise when the run completed (a worker mid-reconnect when the
-// listener closes gives up harmlessly); when the coordinator failed they
-// are joined in for diagnosis.
-func runNetFleet(coord *shardnet.Coordinator, workers int,
-	runWorker func(i int) error) (*NetShardStats, error) {
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = runWorker(i)
-		}(i)
-	}
-	stats, err := coord.Run()
-	wg.Wait()
-	out := &NetShardStats{}
-	if stats != nil {
-		out.Net = *stats
-	}
-	var werrs []error
-	for _, e := range errs {
-		if errors.Is(e, shardnet.ErrWorkerKilled) {
-			out.WorkersKilled++
-		} else if e != nil && err != nil {
-			werrs = append(werrs, e)
-		}
-	}
-	if err != nil {
-		return out, errors.Join(append([]error{err}, werrs...)...)
-	}
-	return out, nil
-}
-
-// RunShardedNet executes the study as a transported sharded run over the
-// deterministic simulated network: same slices, same journals, same merge
-// as RunSharded, with the coordinator and workers talking shardnet frames
-// under the fault plan's network chaos (sc.Faults.Net, plus the
-// sc.NetChaosRate derivation), worker kills rendered as mid-stream
-// connection deaths, and lease expiries covered by the network faults
-// themselves (a partition is heartbeat silence).
-func RunShardedNet(cfg Config, sc ShardedConfig) (*NetShardStats, error) {
-	return runShardedNetOn(cfg, sc, nil)
-}
-
-// runShardedNetOn is RunShardedNet against an existing world (nil builds
-// one), like runShardedOn.
-func runShardedNetOn(cfg Config, sc ShardedConfig, w *worldgen.World) (*NetShardStats, error) {
-	nr, err := netRunSetup(&cfg, sc, w)
-	if err != nil {
-		return nil, err
-	}
-	fleet, newBench, err := nr.localFleet()
-	if err != nil {
-		return nil, err
-	}
-	workers := fleetSize(sc)
-	plan := netPlan(cfg.Params.Seed, sc, workers, fleet.ranges)
-	net := shardnet.NewSimNet(plan.NetFaults())
-	coord, err := shardnet.NewCoordinator(shardnet.Config{
-		Listener:        net.Listener(),
-		Clock:           net,
-		Slices:          nr.slices,
-		RunConfig:       nr.rc,
-		LeaseTTL:        sc.LeaseTTL,
-		BackoffSeed:     cfg.Params.Seed,
-		FailWhenDrained: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	kill := netKillTap(plan)
-	return runNetFleet(coord, workers, func(i int) error {
-		return shardnet.RunWorker(net.Dialer(), shardnet.WorkerOptions{
-			Clock:       net,
-			NewBench:    newBench,
-			Reconnects:  16,
-			BackoffSeed: cfg.Params.Seed,
-			Scope:       "sim/" + strconv.Itoa(i),
-			KillTap:     kill,
-		})
-	})
-}
-
-// fleetSize is the worker count of an in-process fleet.
-func fleetSize(sc ShardedConfig) int {
-	if sc.Workers > 0 {
-		return sc.Workers
-	}
-	return sc.Shards
-}
-
 // TCP-side timing: wall-clock analogues of the simulated network's
 // tick-denominated lease TTL, generous enough for loopback and LAN.
 const (
@@ -335,12 +177,12 @@ const (
 	tcpIdleTimeout = 500 * time.Millisecond
 )
 
-// RunShardedTCP is RunShardedNet over real loopback TCP: the coordinator
+// RunShardedTCP is RunSharded over real loopback TCP: the coordinator
 // listens on 127.0.0.1, the worker fleet dials it, and every frame
 // crosses an actual socket. Network chaos is not injected — the wire is
 // real — but injected worker kills still fire, leaving torn wire frames
 // the receiver's framing must reject.
-func RunShardedTCP(cfg Config, sc ShardedConfig) (*NetShardStats, error) {
+func RunShardedTCP(cfg Config, sc ShardedConfig) (*shardnet.Stats, error) {
 	nr, err := netRunSetup(&cfg, sc, nil)
 	if err != nil {
 		return nil, err
@@ -354,21 +196,20 @@ func RunShardedTCP(cfg Config, sc ShardedConfig) (*NetShardStats, error) {
 		return nil, err
 	}
 	coord, err := shardnet.NewCoordinator(shardnet.Config{
-		Listener:        ln,
-		Clock:           shardnet.WallClock(),
-		Slices:          nr.slices,
-		RunConfig:       nr.rc,
-		LeaseTTL:        int64(tcpLeaseTTL),
-		BackoffSeed:     cfg.Params.Seed,
-		FailWhenDrained: true,
+		Listener:    ln,
+		Clock:       shardnet.WallClock(),
+		Slices:      nr.slices,
+		RunConfig:   nr.rc,
+		LeaseTTL:    int64(tcpLeaseTTL),
+		BackoffSeed: cfg.Params.Seed,
 	})
 	if err != nil {
 		ln.Close()
 		return nil, err
 	}
-	kill := netKillTap(sc.Faults)
+	kill := sc.Faults.KillTap()
 	addr := ln.Addr()
-	return runNetFleet(coord, fleetSize(sc), func(i int) error {
+	return shardnet.RunFleet(coord, fleetSize(sc), func(i int) error {
 		return shardnet.RunWorker(shardnet.TCPDialer{Addr: addr}, shardnet.WorkerOptions{
 			Clock:       shardnet.WallClock(),
 			NewBench:    newBench,
@@ -389,7 +230,7 @@ func RunShardedTCP(cfg Config, sc ShardedConfig) (*NetShardStats, error) {
 // connected, so workers may be started after — or restarted during — the
 // run; an interrupted serve resumes from the journals like any sharded
 // run.
-func ServeShards(cfg Config, sc ShardedConfig, addr string) (*NetShardStats, error) {
+func ServeShards(cfg Config, sc ShardedConfig, addr string) (*shardnet.Stats, error) {
 	nr, err := netRunSetup(&cfg, sc, nil)
 	if err != nil {
 		return nil, err
@@ -410,12 +251,7 @@ func ServeShards(cfg Config, sc ShardedConfig, addr string) (*NetShardStats, err
 		ln.Close()
 		return nil, err
 	}
-	stats, err := coord.Run()
-	out := &NetShardStats{}
-	if stats != nil {
-		out.Net = *stats
-	}
-	return out, err
+	return coord.Run()
 }
 
 // ConnectShardWorker runs the worker half of a cross-machine sharded

@@ -8,15 +8,16 @@ import (
 	"testing"
 
 	"pinscope/internal/faultinject"
+	"pinscope/internal/shardnet"
 	"pinscope/internal/worldgen"
 )
 
-// netShardedExport runs cfg as a transported sharded run over the
-// simulated network and merges the journals — the transport analogue of
-// shardedExport.
-func netShardedExport(t *testing.T, cfg Config, sc ShardedConfig) ([]byte, *NetShardStats) {
+// netShardedExport runs cfg through run (RunSharded or RunShardedTCP) and
+// merges the journals.
+func netShardedExport(t *testing.T, run func(Config, ShardedConfig) (*shardnet.Stats, error),
+	cfg Config, sc ShardedConfig) ([]byte, *shardnet.Stats) {
 	t.Helper()
-	stats, err := RunShardedNet(cfg, sc)
+	stats, err := run(cfg, sc)
 	if err != nil {
 		t.Fatalf("transported sharded run: %v (stats %+v)", err, stats)
 	}
@@ -52,7 +53,7 @@ func TestShardNetSimMergesByteIdentical(t *testing.T) {
 			},
 		},
 	}
-	merged, stats := netShardedExport(t, shardedCfg, sc)
+	merged, stats := netShardedExport(t, RunSharded, shardedCfg, sc)
 	if !bytes.Equal(merged, single) {
 		t.Fatalf("transported sharded merge diverges from single-process export (%d vs %d bytes)",
 			len(merged), len(single))
@@ -63,17 +64,17 @@ func TestShardNetSimMergesByteIdentical(t *testing.T) {
 	if stats.WorkersKilled != 1 {
 		t.Fatalf("WorkersKilled = %d, want 1", stats.WorkersKilled)
 	}
-	if stats.Net.Duplicates < 1 {
-		t.Fatalf("Duplicates = %d, want >= 1 (injected duplicate never arrived twice)", stats.Net.Duplicates)
+	if stats.Duplicates < 1 {
+		t.Fatalf("Duplicates = %d, want >= 1 (injected duplicate never arrived twice)", stats.Duplicates)
 	}
-	if stats.Net.ConnDrops < 2 { // the dropped frame severs one conn, the kill another
-		t.Fatalf("ConnDrops = %d, want >= 2", stats.Net.ConnDrops)
+	if stats.ConnDrops < 2 { // the dropped frame severs one conn, the kill another
+		t.Fatalf("ConnDrops = %d, want >= 2", stats.ConnDrops)
 	}
-	if stats.Net.Expired < 1 { // the partition must outlive a lease TTL
-		t.Fatalf("Expired = %d, want >= 1 (partition never expired a lease)", stats.Net.Expired)
+	if stats.Expired < 1 { // the partition must outlive a lease TTL
+		t.Fatalf("Expired = %d, want >= 1 (partition never expired a lease)", stats.Expired)
 	}
-	if stats.Net.Reassigned < 1 {
-		t.Fatalf("Reassigned = %d, want >= 1", stats.Net.Reassigned)
+	if stats.Reassigned < 1 {
+		t.Fatalf("Reassigned = %d, want >= 1", stats.Reassigned)
 	}
 }
 
@@ -95,7 +96,7 @@ func TestShardNetTCPMergesByteIdentical(t *testing.T) {
 			Kills: []faultinject.ShardKill{{Slice: 1, AfterResults: 1, TornBytes: 5}},
 		},
 	}
-	merged, stats := netShardedExport(t, shardedCfg, sc)
+	merged, stats := netShardedExport(t, RunShardedTCP, shardedCfg, sc)
 	if !bytes.Equal(merged, single) {
 		t.Fatalf("TCP sharded merge diverges from single-process export (%d vs %d bytes)",
 			len(merged), len(single))
@@ -103,8 +104,8 @@ func TestShardNetTCPMergesByteIdentical(t *testing.T) {
 	if stats.WorkersKilled != 1 {
 		t.Fatalf("WorkersKilled = %d, want 1", stats.WorkersKilled)
 	}
-	if stats.Net.Slices != 2 || stats.Net.Granted < 2 {
-		t.Fatalf("stats %+v: want 2 slices and >= 2 grants", stats.Net)
+	if stats.Slices != 2 || stats.Granted < 2 {
+		t.Fatalf("stats %+v: want 2 slices and >= 2 grants", stats)
 	}
 }
 
@@ -122,7 +123,7 @@ func TestShardNetRerunResumesAfterFleetDeath(t *testing.T) {
 	dir := t.TempDir()
 	sc := ShardedConfig{Shards: 3, Workers: 1, Dir: dir,
 		Faults: &faultinject.ShardPlan{Kills: []faultinject.ShardKill{{Slice: 0, AfterResults: 2}}}}
-	if _, err := RunShardedNet(shardedCfg, sc); err == nil {
+	if _, err := RunSharded(shardedCfg, sc); err == nil {
 		t.Fatal("run with its only worker killed reported success")
 	} else if !strings.Contains(err.Error(), "all workers disconnected") {
 		t.Fatalf("fleet-death error = %v, want all-workers-disconnected", err)
@@ -135,9 +136,9 @@ func TestShardNetRerunResumesAfterFleetDeath(t *testing.T) {
 	}
 
 	rerun := ShardedConfig{Shards: 3, Workers: 1, Dir: dir}
-	merged, stats := netShardedExport(t, shardedCfg, rerun)
-	if stats.Net.ResumedFrames < 2 {
-		t.Fatalf("rerun ResumedFrames = %d, want >= 2", stats.Net.ResumedFrames)
+	merged, stats := netShardedExport(t, RunSharded, shardedCfg, rerun)
+	if stats.ResumedFrames < 2 {
+		t.Fatalf("rerun ResumedFrames = %d, want >= 2", stats.ResumedFrames)
 	}
 	if !bytes.Equal(merged, single) {
 		t.Fatal("resumed transported merge diverges from single-process export")
@@ -161,7 +162,7 @@ func TestShardNetDerivedPlanMergesByteIdentical(t *testing.T) {
 	if plan := netPlan(cfg.Params.Seed, sc, 4, sliceRanges(len(shardUniverse(w)), 4)); plan == nil || !plan.Net.Any() {
 		t.Fatalf("derived plan injected no network chaos: %+v", plan)
 	}
-	merged, _ := netShardedExport(t, shardedCfg, sc)
+	merged, _ := netShardedExport(t, RunSharded, shardedCfg, sc)
 	if !bytes.Equal(merged, single) {
 		t.Fatalf("derived-plan transported merge diverges (%d vs %d bytes)", len(merged), len(single))
 	}

@@ -21,6 +21,7 @@ package faultinject
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
 	"pinscope/internal/detrand"
 	"pinscope/internal/netem"
@@ -272,49 +273,24 @@ func (k *ProcessKill) Tap() func(i int) (tornBytes int, kill bool) {
 	}
 }
 
-// ShardKill is the shard-death member of the power-cut family: it kills
-// the worker holding one slice of a sharded run, by interrupting the
-// append of result frame AfterResults (0-based, counted within that
-// slice's journal) and leaving TornBytes of it on disk. The cut fires on
-// the slice journal's append path via the same CrashTap machinery as
-// ProcessKill, so it is a pure function of the frame index — independent
-// of which worker holds the lease or how the scheduler interleaved them.
-// The coordinator then expires the dead worker's lease and a survivor
-// resumes the slice from its journal.
+// ShardKill is the shard-death member of the power-cut family: the worker
+// holding one slice of a sharded run dies right before sending result
+// AfterResults (0-based within the slice), so exactly AfterResults results
+// of its lease reach the coordinator. The cut is a pure function of the
+// result index — independent of which worker holds the lease or how the
+// scheduler interleaved them. Over TCP the dying worker first writes
+// TornBytes of the interrupted result frame, a torn wire frame the
+// receiver's framing must reject. The coordinator sees the connection die
+// and a survivor resumes the slice at its journal cursor.
 type ShardKill struct {
 	// Slice is the 0-based slice whose holder dies.
 	Slice int
-	// AfterResults is how many result frames reach the slice journal
-	// intact before the cut.
+	// AfterResults is how many results of the slice reach the coordinator
+	// before the death.
 	AfterResults int
-	// TornBytes is how many bytes of the interrupted frame remain on disk.
+	// TornBytes is how many bytes of the interrupted result frame go out
+	// on a TCP wire before the death.
 	TornBytes int
-}
-
-// Tap returns the slice journal's crash tap. Nil receiver yields nil.
-func (k *ShardKill) Tap() func(i int) (tornBytes int, kill bool) {
-	if k == nil {
-		return nil
-	}
-	return (&ProcessKill{AfterResults: k.AfterResults, TornBytes: k.TornBytes}).Tap()
-}
-
-// LeaseExpiry induces a lease expiry without killing anyone: the worker
-// holding Slice stalls after appending AfterResults result frames, for
-// StallTicks of the coordinator's logical clock — past the lease TTL, so
-// the slice is reassigned while the original holder is still alive. When
-// the stalled worker wakes and tries to append again, the coordinator's
-// epoch fence must turn it away. This is the split-brain drill: two live
-// workers believing they own one slice.
-type LeaseExpiry struct {
-	// Slice is the 0-based slice whose lease is made to expire.
-	Slice int
-	// AfterResults is how many result frames the holder appends before
-	// stalling.
-	AfterResults int
-	// StallTicks is how long the stall lasts on the logical clock;
-	// 0 means "lease TTL + 1", guaranteeing expiry whatever the TTL.
-	StallTicks int64
 }
 
 // NetTTL is the lease TTL, in logical network ticks, that the simulated
@@ -358,7 +334,8 @@ type NetDup struct {
 // AfterItem — for Ticks of the network clock. Neither side learns the
 // link is gone; only heartbeat silence does: the lease expires, a
 // survivor takes over, and the healed zombie's stale-epoch frames must be
-// fenced away from the slice WAL.
+// fenced away from the slice WAL. This is the split-brain drill: two live
+// workers believing they own one slice.
 type NetPartition struct {
 	Slice     int
 	AfterItem int
@@ -445,21 +422,19 @@ func (n *NetChaos) PartitionFor(slice, item int) (int64, bool) {
 	return 0, false
 }
 
-// ShardPlan groups the shard-death fault family for one sharded run. A
-// nil plan injects nothing. At most one kill and one expiry apply per
-// slice: like ProcessKill, each fires once — the takeover run of the same
-// slice does not re-die, mirroring a machine that crashed and was
-// replaced. Net carries the network fault family for transported runs
-// (internal/shardnet); the in-process coordinator ignores it.
+// ShardPlan groups the shard fault families for one sharded run: worker
+// deaths and the network faults of the simulated transport. A nil plan
+// injects nothing. At most one kill applies per slice and, like
+// ProcessKill, it fires once — the takeover run of the same slice does not
+// re-die, mirroring a machine that crashed and was replaced.
 type ShardPlan struct {
-	Kills    []ShardKill
-	Expiries []LeaseExpiry
-	Net      *NetChaos
+	Kills []ShardKill
+	Net   *NetChaos
 }
 
 // Any reports whether the plan injects anything. Nil-safe.
 func (p *ShardPlan) Any() bool {
-	return p != nil && (len(p.Kills) > 0 || len(p.Expiries) > 0 || p.Net.Any())
+	return p != nil && (len(p.Kills) > 0 || p.Net.Any())
 }
 
 // KillFor returns the kill fault for slice, or nil. Nil-safe.
@@ -475,17 +450,29 @@ func (p *ShardPlan) KillFor(slice int) *ShardKill {
 	return nil
 }
 
-// ExpiryFor returns the lease-expiry fault for slice, or nil. Nil-safe.
-func (p *ShardPlan) ExpiryFor(slice int) *LeaseExpiry {
-	if p == nil {
+// KillTap renders the kill family as a worker kill tap: it reports
+// (TornBytes, true) for the result (slice, AfterResults) of a planned
+// kill, once per slice however many workers share the tap, and nil for a
+// plan without kills. Nil-safe.
+func (p *ShardPlan) KillTap() func(slice, item int) (torn int, kill bool) {
+	if p == nil || len(p.Kills) == 0 {
 		return nil
 	}
-	for i := range p.Expiries {
-		if p.Expiries[i].Slice == slice {
-			return &p.Expiries[i]
+	var mu sync.Mutex
+	fired := map[int]bool{}
+	return func(slice, item int) (int, bool) {
+		k := p.KillFor(slice)
+		if k == nil || k.AfterResults != item {
+			return 0, false
 		}
+		mu.Lock()
+		defer mu.Unlock()
+		if fired[slice] {
+			return 0, false
+		}
+		fired[slice] = true
+		return k.TornBytes, true
 	}
-	return nil
 }
 
 // NetFaults returns the plan's network chaos (nil for a nil plan).
@@ -499,18 +486,23 @@ func (p *ShardPlan) NetFaults() *NetChaos {
 
 // DeriveShardPlan seeds a shard-death-and-network plan from (seed, rate):
 // each slice independently draws whether its holder is killed, whether
-// its lease is stalled into expiry, and which network pathologies (delay,
-// drop, duplicate delivery, partition) hit its result stream, with every
-// cut point drawn from the slice's item count. The chaos sweep uses this
-// so rising fault rates kill shards and degrade the wire too.
+// its holder is partitioned into a lease expiry, and which network
+// pathologies (delay, drop, duplicate delivery, partition) hit its result
+// stream, with every cut point drawn from the slice's item count. The
+// chaos sweep uses this so rising fault rates kill shards and degrade the
+// wire too.
 //
 // Progress caps: kills stay capped at workers-1 so at least one worker
 // survives, and the progress-hampering faults — kills, drops (they sever
-// the holder's connection) and partitions — together touch at most
-// len(sliceItems)-1 slices, so at least one shard always makes progress
-// on a never-severed link. Delay durations and partition windows are
-// drawn relative to NetTTL so they straddle a lease deadline. Rate 0
-// yields nil.
+// the holder's connection) and partitions — together number at most
+// len(sliceItems)-1, so at least one shard always makes progress on a
+// never-severed link. Delay durations and partition windows are drawn
+// relative to NetTTL so they straddle a lease deadline. Rate 0 yields
+// nil.
+//
+// The expiry partitions are placed last, into whatever room the cap
+// leaves, each drawn from its slice's kill stream after the kill draws,
+// so they never move a kill or a network-family draw.
 func DeriveShardPlan(seed int64, rate float64, workers int, sliceItems []int) *ShardPlan {
 	if rate <= 0 {
 		return nil
@@ -520,12 +512,14 @@ func DeriveShardPlan(seed int64, rate float64, workers int, sliceItems []int) *S
 	kills := 0
 	hampered := 0
 	maxHampered := len(sliceItems) - 1
+	rngs := make([]*detrand.Source, len(sliceItems))
+	killed := make([]bool, len(sliceItems))
 	for slice, items := range sliceItems {
 		if items == 0 {
 			continue
 		}
 		rng := detrand.New(seed).Child("shardfault/" + strconv.Itoa(slice))
-		killed := false
+		rngs[slice] = rng
 		if kills < workers-1 && hampered < maxHampered && rng.Bool(rate) {
 			p.Kills = append(p.Kills, ShardKill{
 				Slice:        slice,
@@ -534,20 +528,10 @@ func DeriveShardPlan(seed int64, rate float64, workers int, sliceItems []int) *S
 			})
 			kills++
 			hampered++
-			killed = true
+			killed[slice] = true
 		}
-		if !killed && items >= 2 && rng.Bool(rate) {
-			// The stall point stays strictly inside the leased region:
-			// [1, items-1]. A stall after the final append would sit
-			// between the work and the lease release, which the
-			// coordinator no longer honors (see shardcoord.maybeStall).
-			p.Expiries = append(p.Expiries, LeaseExpiry{
-				Slice:        slice,
-				AfterResults: 1 + rng.Intn(items-1),
-			})
-		}
-		// Network family, drawn from its own child so adding it leaves
-		// the kill/expiry draws of existing seeds untouched.
+		// Network family, drawn from its own child so it leaves the kill
+		// draws untouched.
 		nrng := detrand.New(seed).Child("netfault/" + strconv.Itoa(slice))
 		if nrng.Bool(rate) {
 			net.Delays = append(net.Delays, NetDelay{
@@ -559,10 +543,10 @@ func DeriveShardPlan(seed int64, rate float64, workers int, sliceItems []int) *S
 		if nrng.Bool(rate) {
 			net.Dups = append(net.Dups, NetDup{Slice: slice, Item: nrng.Intn(items)})
 		}
-		if !killed && hampered < maxHampered && nrng.Bool(rate) {
+		if !killed[slice] && hampered < maxHampered && nrng.Bool(rate) {
 			net.Drops = append(net.Drops, NetDrop{Slice: slice, Item: nrng.Intn(items)})
 			hampered++
-		} else if !killed && hampered < maxHampered && nrng.Bool(rate) {
+		} else if !killed[slice] && hampered < maxHampered && nrng.Bool(rate) {
 			net.Partitions = append(net.Partitions, NetPartition{
 				Slice:     slice,
 				AfterItem: nrng.Intn(items),
@@ -570,6 +554,25 @@ func DeriveShardPlan(seed int64, rate float64, workers int, sliceItems []int) *S
 			})
 			hampered++
 		}
+	}
+	// Expiry partitions: a live holder goes silent after at least one
+	// result, at most one partition per slice. The partition may start at
+	// the slice's final result, which is then lost with the link and
+	// recomputed by the takeover.
+	partitioned := map[int]bool{}
+	for _, np := range net.Partitions {
+		partitioned[np.Slice] = true
+	}
+	for slice, items := range sliceItems {
+		if items < 2 || killed[slice] || partitioned[slice] || hampered >= maxHampered || !rngs[slice].Bool(rate) {
+			continue
+		}
+		net.Partitions = append(net.Partitions, NetPartition{
+			Slice:     slice,
+			AfterItem: 1 + rngs[slice].Intn(items-1),
+			Ticks:     NetTTL + int64(rngs[slice].Intn(2*NetTTL)),
+		})
+		hampered++
 	}
 	if net.Any() {
 		p.Net = net

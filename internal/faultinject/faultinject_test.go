@@ -1,6 +1,8 @@
 package faultinject
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -135,42 +137,42 @@ func TestRatesBite(t *testing.T) {
 
 func TestShardPlanLookupsNilSafe(t *testing.T) {
 	var nilPlan *ShardPlan
-	if nilPlan.Any() || nilPlan.KillFor(0) != nil || nilPlan.ExpiryFor(0) != nil {
+	if nilPlan.Any() || nilPlan.KillFor(0) != nil || nilPlan.KillTap() != nil || nilPlan.NetFaults() != nil {
 		t.Fatal("nil ShardPlan injected something")
 	}
 	p := &ShardPlan{
-		Kills:    []ShardKill{{Slice: 2, AfterResults: 3, TornBytes: 5}},
-		Expiries: []LeaseExpiry{{Slice: 1, AfterResults: 1}},
+		Kills: []ShardKill{{Slice: 2, AfterResults: 3, TornBytes: 5}},
+		Net:   &NetChaos{Partitions: []NetPartition{{Slice: 1, AfterItem: 1, Ticks: NetTTL + 1}}},
 	}
-	if !p.Any() {
+	if !p.Any() || !(&ShardPlan{Net: p.Net}).Any() {
 		t.Fatal("populated plan reports empty")
 	}
 	if k := p.KillFor(2); k == nil || k.AfterResults != 3 || k.TornBytes != 5 {
 		t.Fatalf("KillFor(2) = %+v", p.KillFor(2))
 	}
-	if p.KillFor(1) != nil || p.ExpiryFor(2) != nil {
+	if p.KillFor(1) != nil {
 		t.Fatal("lookup matched the wrong slice")
-	}
-	if e := p.ExpiryFor(1); e == nil || e.AfterResults != 1 {
-		t.Fatalf("ExpiryFor(1) = %+v", p.ExpiryFor(1))
 	}
 }
 
 func TestShardKillTapFiresAtFrame(t *testing.T) {
-	var nilKill *ShardKill
-	if nilKill.Tap() != nil {
-		t.Fatal("nil ShardKill produced a tap")
+	if (&ShardPlan{Net: &NetChaos{}}).KillTap() != nil {
+		t.Fatal("plan without kills produced a tap")
 	}
-	tap := (&ShardKill{Slice: 0, AfterResults: 2, TornBytes: 7}).Tap()
-	if _, kill := tap(0); kill {
-		t.Fatal("tap fired before its frame")
+	tap := (&ShardPlan{Kills: []ShardKill{{Slice: 0, AfterResults: 2, TornBytes: 7}}}).KillTap()
+	for _, at := range [][2]int{{0, 0}, {0, 1}, {1, 2}} {
+		if _, kill := tap(at[0], at[1]); kill {
+			t.Fatalf("tap fired at slice %d item %d, before or away from its frame", at[0], at[1])
+		}
 	}
-	if _, kill := tap(1); kill {
-		t.Fatal("tap fired before its frame")
-	}
-	torn, kill := tap(2)
+	torn, kill := tap(0, 2)
 	if !kill || torn != 7 {
-		t.Fatalf("tap(2) = (%d, %v), want (7, true)", torn, kill)
+		t.Fatalf("tap(0, 2) = (%d, %v), want (7, true)", torn, kill)
+	}
+	// Fire-once: the takeover of the same slice, on any worker sharing
+	// the tap, does not re-die.
+	if _, kill := tap(0, 2); kill {
+		t.Fatal("tap fired twice for one slice")
 	}
 }
 
@@ -181,18 +183,8 @@ func TestDeriveShardPlanDeterministicAndCapped(t *testing.T) {
 	if a == nil || b == nil {
 		t.Fatal("high-rate derivation produced no faults")
 	}
-	if len(a.Kills) != len(b.Kills) || len(a.Expiries) != len(b.Expiries) {
-		t.Fatal("same seed produced different plans")
-	}
-	for i := range a.Kills {
-		if a.Kills[i] != b.Kills[i] {
-			t.Fatalf("kill %d differs: %+v vs %+v", i, a.Kills[i], b.Kills[i])
-		}
-	}
-	for i := range a.Expiries {
-		if a.Expiries[i] != b.Expiries[i] {
-			t.Fatalf("expiry %d differs: %+v vs %+v", i, a.Expiries[i], b.Expiries[i])
-		}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same seed produced different plans:\n%+v\n%+v", a, b)
 	}
 	if len(a.Kills) > 3 {
 		t.Fatalf("%d kills with 4 workers: no survivor guaranteed", len(a.Kills))
@@ -284,16 +276,58 @@ func TestDeriveShardPlanNetFamilyCappedAndDeterministic(t *testing.T) {
 		}
 	}
 
-	// The stall point of a derived expiry stays strictly inside the
-	// leased region: a stall after the final append would sit between the
-	// work and the lease release, which the coordinator refuses to honor.
-	for _, e := range a.Expiries {
-		if e.AfterResults < 1 || e.AfterResults > items[e.Slice]-1 {
-			t.Fatalf("expiry point %d outside [1, %d]", e.AfterResults, items[e.Slice]-1)
-		}
-	}
-
 	if DeriveShardPlan(311, 0, 4, items) != nil {
 		t.Fatal("rate 0 produced a plan")
+	}
+}
+
+func TestDeriveShardPlanExpiryBecomesPartition(t *testing.T) {
+	// The lease-expiry draw became a partition without moving any other
+	// draw: this digest of the kills, delays, duplicates and drops of 1,800
+	// derived plans was taken from the derivation that still drew lease
+	// expiries, so an existing seed kills the same workers at the same
+	// results as before.
+	h := sha256.New()
+	for _, items := range [][]int{{10, 10, 10, 10, 10, 10, 10, 10}, {5, 9, 1, 12}, {0, 3, 7}} {
+		for _, workers := range []int{2, 4} {
+			for _, rate := range []float64{0.3, 0.6, 1.0} {
+				for seed := int64(1); seed <= 100; seed++ {
+					p := DeriveShardPlan(seed, rate, workers, items)
+					if p == nil {
+						fmt.Fprintln(h, "nil")
+						continue
+					}
+					n := p.Net
+					if n == nil {
+						n = &NetChaos{}
+					}
+					fmt.Fprintf(h, "%v|%v|%v|%v\n", p.Kills, n.Delays, n.Dups, n.Drops)
+				}
+			}
+		}
+	}
+	const want = "064ff630cbd37ef81abfd0f45b98dcdf91de352ecb6787949f7435ea79e48f8d"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Fatalf("kill and network-family draws moved: digest %s, want %s", got, want)
+	}
+
+	// And the expiry draw still lands where it did: the expiries that
+	// seed 6 drew at rate 0.3 (slice 0 after 1 result, slice 1 after 8,
+	// slice 4 after 9, slice 6 after 3) are now its partitions, one per
+	// slice, within the cap.
+	items := []int{10, 10, 10, 10, 10, 10, 10, 10}
+	p := DeriveShardPlan(6, 0.3, 4, items)
+	var got [][2]int
+	for _, np := range p.Net.Partitions {
+		if np.Ticks < NetTTL {
+			t.Fatalf("expiry partition %+v cannot outlive a lease (TTL %d)", np, NetTTL)
+		}
+		got = append(got, [2]int{np.Slice, np.AfterItem})
+	}
+	if want := [][2]int{{0, 1}, {1, 8}, {4, 9}, {6, 3}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("seed 6 partitions at %v, want the former expiry points %v", got, want)
+	}
+	if n := len(p.Kills) + len(p.Net.Drops) + len(p.Net.Partitions); n > len(items)-1 {
+		t.Fatalf("%d hampering faults across %d slices", n, len(items))
 	}
 }

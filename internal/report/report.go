@@ -392,25 +392,18 @@ func Robustness(s *core.Study) string {
 // and the largest drift of any Table 3 dynamic prevalence from the
 // fault-free reference.
 func Chaos(points []core.ChaosPoint) string {
-	t := &table{header: []string{"Fault rate", "Apps", "Attempts", "Retried", "Quarantined", "Degraded", "Max |drift| (pp)", "Shards killed", "Resumed frames", "Shard merge", "Net faults", "Fenced", "Net merge"}}
+	t := &table{header: []string{"Fault rate", "Apps", "Attempts", "Retried", "Quarantined", "Degraded", "Max |drift| (pp)", "Shards killed", "Resumed frames", "Net faults", "Fenced", "Shard merge"}}
 	for _, p := range points {
 		degraded := p.Stats.DynamicOnly + p.Stats.StaticOnly + p.Stats.None
-		killed, resumed, merge := "-", "-", "-"
-		if p.Sharded != nil {
-			killed = fmt.Sprintf("%d", p.Sharded.Stats.WorkersKilled)
-			resumed = fmt.Sprintf("%d", p.Sharded.Stats.ResumedFrames)
+		killed, resumed, netFaults, fenced, merge := "-", "-", "-", "-", "-"
+		if d := p.Sharded; d != nil {
+			killed = fmt.Sprintf("%d", d.Stats.WorkersKilled)
+			resumed = fmt.Sprintf("%d", d.Stats.ResumedFrames)
+			netFaults = fmt.Sprintf("%d", d.NetFaults)
+			fenced = fmt.Sprintf("%d", d.Stats.Fenced)
 			merge = "diverged"
-			if p.Sharded.ByteIdentical {
+			if d.ByteIdentical {
 				merge = "identical"
-			}
-		}
-		netFaults, fenced, netMerge := "-", "-", "-"
-		if p.Net != nil {
-			netFaults = fmt.Sprintf("%d", p.Net.NetFaults)
-			fenced = fmt.Sprintf("%d", p.Net.Stats.Net.Fenced)
-			netMerge = "diverged"
-			if p.Net.ByteIdentical {
-				netMerge = "identical"
 			}
 		}
 		t.add(
@@ -421,8 +414,7 @@ func Chaos(points []core.ChaosPoint) string {
 			fmt.Sprintf("%d", p.Stats.Quarantined),
 			fmt.Sprintf("%d", degraded),
 			fmt.Sprintf("%.2f", p.MaxAbsDriftPP),
-			killed, resumed, merge,
-			netFaults, fenced, netMerge,
+			killed, resumed, netFaults, fenced, merge,
 		)
 	}
 	return "Chaos sweep: Table 3 dynamic-prevalence drift under rising fault rates\n\n" + t.String()

@@ -1,17 +1,16 @@
 package shardnet
 
-// coord.go is the transported lease coordinator. Unlike shardcoord — in
-// which workers are goroutines sharing the lease table under a mutex —
-// here the coordinator is a single event loop owning all lease and WAL
-// state, fed by per-connection receive pumps, an accept loop, and an
-// alarm goroutine that turns lease deadlines into tick events. Workers
-// are on the far side of a Conn and only ever speak frames.
+// coord.go is the lease coordinator: a single event loop owning all lease
+// and WAL state, fed by per-connection receive pumps, an accept loop, and
+// an alarm goroutine that turns lease deadlines into tick events. Workers
+// are on the far side of a Conn and only ever speak frames, whether they
+// run in this process over the simulated network or on another machine
+// over TCP.
 //
-// The division of labor keeps the merge unchanged: the coordinator owns
-// every slice WAL and appends only fence-admitted, in-order frames to
-// it, so the journals a transported run leaves behind are exactly the
-// journals an in-process run leaves behind. Everything hostile the
-// network does is absorbed before the WAL's front door:
+// The coordinator owns every slice WAL and appends only fence-admitted,
+// in-order frames to it, so the journals a run leaves behind do not
+// depend on the transport, the workers, or the faults. Everything hostile
+// the network does is absorbed before the WAL's front door:
 //
 //   - zombie epochs: every Result/Heartbeat carries its lease epoch; a
 //     frame from a superseded epoch is counted, fenced, and answered
@@ -20,9 +19,10 @@ package shardnet
 //     already durable and is discarded (idempotence).
 //   - reordering: a result ahead of the cursor waits in a bounded
 //     buffer until the gap fills; appends stay sequential.
-//   - heartbeat silence (death or partition): the lease deadline
-//     expires, the lease is released and re-granted at the journal
-//     cursor — takeover-with-resume, no recomputation of durable work.
+//   - heartbeat silence (a partition or a stalled peer): the lease
+//     deadline expires, the lease is released and re-granted at the
+//     journal cursor — takeover-with-resume, no recomputation of durable
+//     work. A connection that dies releases its lease at once.
 //   - send failures: every coordinator→worker frame is retried under
 //     deterministically jittered exponential backoff; exhausting the
 //     retries declares the connection dead.
@@ -38,25 +38,26 @@ import (
 	"pinscope/internal/journal"
 )
 
-// Slice is one contiguous partition of the universe, same contract as
-// shardcoord.Slice: the WAL at Path must carry exactly Meta and Items
-// result frames when the run completes.
+// Slice is one contiguous partition of the universe: the WAL at Path must
+// carry exactly Meta and Items result frames when the run completes. A
+// WAL already at Path is resumed only if its meta is exactly Meta.
 type Slice struct {
 	Path  string
 	Meta  []byte
 	Items int
 }
 
-// Stats summarizes a transported run. Like shardcoord.Stats, the
-// scheduling-dependent counters vary run to run and are asserted as
-// inequalities; byte exactness lives in the journals.
+// Stats summarizes a run. The scheduling-dependent counters vary run to
+// run and are asserted as inequalities; byte exactness lives in the
+// journals.
 type Stats struct {
 	Workers       int // connections welcomed (reconnects count again)
 	Slices        int
+	WorkersKilled int // injected worker deaths that fired (counted by RunFleet)
 	Granted       int // leases granted
 	Expired       int // leases released for heartbeat silence
 	Reassigned    int // grants for a slice with a prior holder
-	ResumedFrames int // frames found durable at first grant (prior run or takeover)
+	ResumedFrames int // durable frames a grant skipped: a prior run's at first grant, the old holder's on takeover
 	Fenced        int // zombie-epoch frames refused by the fence
 	Duplicates    int // duplicate-delivery results discarded as already journaled
 	Reordered     int // results buffered ahead of the slice cursor
@@ -84,11 +85,6 @@ type Config struct {
 	// BackoffBase is in clock units (0 = LeaseTTL/8).
 	BackoffSeed int64
 	BackoffBase int64
-	// FailWhenDrained makes the coordinator fail — instead of waiting for
-	// new connections — when every worker is gone with work remaining.
-	// In-process runs with a fixed worker fleet set it; a cross-machine
-	// coordinator leaves it off so the operator can start more workers.
-	FailWhenDrained bool
 }
 
 // DefaultSimTTL is the default lease TTL in simulated-network ticks,
@@ -164,8 +160,8 @@ type Coordinator struct {
 	slices    []*coordSlice
 	conns     map[*coordConn]bool
 	nextConn  int
-	everConn  bool
 	doneCount int
+	abort     error // set by Abort; fails the run once conns is empty
 	armed     bool
 	stats     Stats
 	fatal     []error
@@ -219,9 +215,11 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// Abort asks a running coordinator to stop with err. Idempotent and safe
-// after completion; the journals written so far survive, and a rerun
-// resumes from them.
+// Abort asks a running coordinator to stop with err once no worker
+// connection is left open, so the results a worker sent before it went
+// away still reach the journals. Safe after completion, where it does
+// nothing; the journals written so far survive, and a rerun resumes from
+// them.
 func (c *Coordinator) Abort(err error) {
 	c.post(coordEvent{abort: err})
 }
@@ -247,7 +245,7 @@ func (c *Coordinator) Run() (*Stats, error) {
 		ev := <-c.inbox
 		switch {
 		case ev.abort != nil:
-			c.fatal = append(c.fatal, ev.abort)
+			c.abort = ev.abort
 		case ev.newConn != nil:
 			c.register(ev.newConn)
 		case ev.tick:
@@ -267,13 +265,10 @@ func (c *Coordinator) Run() (*Stats, error) {
 		if ev.release != nil {
 			ev.release()
 		}
-		if len(c.fatal) > 0 {
-			break
+		if c.abort != nil && len(c.conns) == 0 {
+			c.fatal = append(c.fatal, c.abort)
 		}
-		if c.cfg.FailWhenDrained && c.everConn && len(c.conns) == 0 && c.doneCount < len(c.slices) {
-			c.fatal = append(c.fatal,
-				fmt.Errorf("shardnet: %d of %d slices incomplete: all workers disconnected (rerun to resume from the journals)",
-					len(c.slices)-c.doneCount, len(c.slices)))
+		if len(c.fatal) > 0 {
 			break
 		}
 	}
@@ -303,9 +298,7 @@ func (c *Coordinator) finish() (*Stats, error) {
 	for draining := true; draining; {
 		select {
 		case ev := <-c.inbox:
-			if ev.release != nil {
-				ev.release()
-			}
+			discard(ev)
 		case <-pumpsDone:
 			draining = false
 		}
@@ -313,9 +306,7 @@ func (c *Coordinator) finish() (*Stats, error) {
 	for swept := false; !swept; {
 		select {
 		case ev := <-c.inbox:
-			if ev.release != nil {
-				ev.release()
-			}
+			discard(ev)
 		default:
 			swept = true
 		}
@@ -335,6 +326,19 @@ func (c *Coordinator) finish() (*Stats, error) {
 		return &c.stats, fmt.Errorf("shardnet: %d of %d slices incomplete", len(c.slices)-c.doneCount, len(c.slices))
 	}
 	return &c.stats, nil
+}
+
+// discard drops an event the loop will never handle. Its clock hold is
+// released, and a connection accepted as the run ended is closed: left
+// open, its worker would wait for a Welcome on a simulated clock that can
+// no longer advance.
+func discard(ev coordEvent) {
+	if ev.newConn != nil {
+		ev.newConn.conn.Close()
+	}
+	if ev.release != nil {
+		ev.release()
+	}
 }
 
 // acceptLoop turns accepted connections into newConn events. The event
@@ -374,7 +378,6 @@ func (c *Coordinator) register(cc *coordConn) {
 	cc.id = c.nextConn
 	c.nextConn++
 	c.conns[cc] = true
-	c.everConn = true
 	c.pumps.Add(1)
 	go c.pumpLoop(cc)
 	go c.outboxLoop(cc)
@@ -706,6 +709,7 @@ func (c *Coordinator) grantLoop() {
 			s.pending = map[int][]byte{}
 			if s.everLeased {
 				c.stats.Reassigned++
+				c.stats.ResumedFrames += s.next
 			}
 			s.everLeased = true
 			c.stats.Granted++
@@ -719,10 +723,10 @@ func (c *Coordinator) grantLoop() {
 	}
 }
 
-// openJournal creates or resumes the slice's WAL, exactly like a
-// shardcoord takeover: stream the verified frames (Reader, never a
-// whole-WAL slurp), hold the on-disk meta against the slice's, and
-// continue after the durable prefix.
+// openJournal creates or resumes the slice's WAL at its first grant:
+// stream the verified frames (Reader, never a whole-WAL slurp), hold the
+// on-disk meta against the slice's, and continue after the durable
+// prefix.
 func (c *Coordinator) openJournal(s *coordSlice) error {
 	s.opened = true
 	if _, err := os.Stat(s.conf.Path); err == nil {

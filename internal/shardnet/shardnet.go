@@ -1,20 +1,22 @@
-// Package shardnet lifts the shardcoord lease protocol over a message
-// transport, so shard workers can run on separate machines: the
-// coordinator owns the lease table and the slice WALs, workers receive
-// the run configuration over the wire (the seed and parameters, never
-// data), rebuild the world deterministically, and stream result frames
-// back. Because each slice journal is written by the coordinator from
-// verified frames, the existing streaming merge consumes a transported
-// run's journals unchanged.
+// Package shardnet is the sharded study's lease protocol: a coordinator
+// hands contiguous slices of the app universe to workers under
+// time-bounded, epoch-fenced leases, and owns one crash-only journal per
+// slice. Workers receive the run configuration over the wire (the seed
+// and parameters, never data), build their bench from it, and stream
+// result frames back. Because each slice journal is written by the
+// coordinator from verified frames, the streaming merge consumes every
+// run's journals the same way.
 //
 // Two interchangeable transports implement the same Conn/Listener
-// contract: a deterministic in-process simulated network (sim.go) whose
-// delay, drop, duplication, reorder and partition faults are seeded
-// draws from faultinject + detrand, and a real TCP transport (tcp.go)
-// whose frames reuse the journal framing discipline — length-prefixed,
-// CRC32C-checksummed, versioned by a magic string.
+// contract: a deterministic in-process simulated network (sim.go), which
+// passes frames in memory and, when asked, injects delay, drop,
+// duplication, reorder and partition faults as seeded draws from
+// faultinject + detrand — fault-free it is how in-process fleets run —
+// and a real TCP transport (tcp.go) whose frames reuse the journal
+// framing discipline — length-prefixed, CRC32C-checksummed, versioned by
+// a magic string — for workers on other machines.
 //
-// Protocol shape (full grammar in DESIGN.md §11):
+// Protocol shape (full grammar in DESIGN.md §8):
 //
 //	worker → coordinator:  Hello, Ready, Result(slice,epoch,item,payload),
 //	                       Heartbeat(slice,epoch)

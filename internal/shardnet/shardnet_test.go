@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -103,49 +104,87 @@ func verifyJournals(t *testing.T, slices []Slice) {
 	}
 }
 
-// runSim drives one simulated-network run: a coordinator plus workers
-// in-process workers over a SimNet injecting chaos.
-func runSim(t *testing.T, slices []Slice, workers int, chaos *faultinject.NetChaos,
-	killTap func(slice, item int) (int, bool)) (*Stats, []error) {
+// simFleet is one simulated-network run: a coordinator plus a fleet of
+// in-process workers over a SimNet injecting the plan's network chaos and
+// worker kills. listen, when set, wraps the coordinator's listener, and
+// beforeDial runs in worker i's goroutine before it first dials.
+type simFleet struct {
+	slices     []Slice
+	workers    int
+	plan       *faultinject.ShardPlan
+	listen     func(Listener) Listener
+	beforeDial func(i int)
+}
+
+// run drives the fleet to the end and returns the coordinator's outcome
+// plus each worker's own error.
+func (f simFleet) run(t *testing.T) (*Stats, []error, error) {
 	t.Helper()
-	simnet := NewSimNet(chaos)
+	simnet := NewSimNet(f.plan.NetFaults())
+	var ln Listener = simnet.Listener()
+	if f.listen != nil {
+		ln = f.listen(ln)
+	}
 	coord, err := NewCoordinator(Config{
-		Listener:        simnet.Listener(),
-		Clock:           simnet,
-		Slices:          slices,
-		RunConfig:       []byte("fake-run-config"),
-		BackoffSeed:     7,
-		FailWhenDrained: true,
+		Listener:    ln,
+		Clock:       simnet,
+		Slices:      f.slices,
+		RunConfig:   []byte("fake-run-config"),
+		BackoffSeed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	workerErrs := make([]error, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			workerErrs[i] = RunWorker(simnet.Dialer(), WorkerOptions{
-				Clock:       simnet,
-				NewBench:    newFakeBench,
-				BackoffSeed: 7,
-				Scope:       fmt.Sprintf("w%d", i),
-				KillTap:     killTap,
-			})
-		}(i)
-	}
-	stats, err := coord.Run()
-	wg.Wait()
+	kill := f.plan.KillTap()
+	workerErrs := make([]error, f.workers)
+	stats, err := RunFleet(coord, f.workers, func(i int) error {
+		if f.beforeDial != nil {
+			f.beforeDial(i)
+		}
+		workerErrs[i] = RunWorker(simnet.Dialer(), WorkerOptions{
+			Clock:       simnet,
+			NewBench:    newFakeBench,
+			BackoffSeed: 7,
+			Scope:       fmt.Sprintf("w%d", i),
+			KillTap:     kill,
+		})
+		return workerErrs[i]
+	})
+	return stats, workerErrs, err
+}
+
+// runSim runs a simFleet that must complete.
+func runSim(t *testing.T, slices []Slice, workers int, plan *faultinject.ShardPlan) (*Stats, []error) {
+	t.Helper()
+	stats, workerErrs, err := simFleet{slices: slices, workers: workers, plan: plan}.run(t)
 	if err != nil {
 		t.Fatalf("coordinator: %v (stats %+v, worker errs %v)", err, stats, workerErrs)
 	}
 	return stats, workerErrs
 }
 
+// netPlan wraps network chaos in a shard plan.
+func netPlan(chaos *faultinject.NetChaos) *faultinject.ShardPlan {
+	return &faultinject.ShardPlan{Net: chaos}
+}
+
+// journalBytes reads every slice WAL's raw bytes.
+func journalBytes(t *testing.T, slices []Slice) [][]byte {
+	t.Helper()
+	out := make([][]byte, len(slices))
+	for i, s := range slices {
+		b, err := readFileBytes(s.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = b
+	}
+	return out
+}
+
 func TestSimRunCompletesAndJournals(t *testing.T) {
 	slices := testSlices(t.TempDir(), 5, 3, 4)
-	stats, workerErrs := runSim(t, slices, 2, nil, nil)
+	stats, workerErrs := runSim(t, slices, 2, nil)
 	for i, e := range workerErrs {
 		if e != nil {
 			t.Fatalf("worker %d: %v", i, e)
@@ -159,7 +198,7 @@ func TestSimRunCompletesAndJournals(t *testing.T) {
 
 func TestSimEmptySliceCompletesWithoutGrant(t *testing.T) {
 	slices := testSlices(t.TempDir(), 0, 2)
-	stats, _ := runSim(t, slices, 1, nil, nil)
+	stats, _ := runSim(t, slices, 1, nil)
 	verifyJournals(t, slices)
 	if stats.Granted != 1 {
 		t.Fatalf("Granted = %d, want 1 (the empty slice completes at open)", stats.Granted)
@@ -169,7 +208,7 @@ func TestSimEmptySliceCompletesWithoutGrant(t *testing.T) {
 func TestSimDuplicateDeliveryIsIdempotent(t *testing.T) {
 	slices := testSlices(t.TempDir(), 4, 4)
 	chaos := &faultinject.NetChaos{Dups: []faultinject.NetDup{{Slice: 1, Item: 2}}}
-	stats, _ := runSim(t, slices, 2, chaos, nil)
+	stats, _ := runSim(t, slices, 2, netPlan(chaos))
 	if stats.Duplicates < 1 {
 		t.Fatalf("Duplicates = %d, want >= 1 (the dup fault must actually fire)", stats.Duplicates)
 	}
@@ -179,7 +218,7 @@ func TestSimDuplicateDeliveryIsIdempotent(t *testing.T) {
 func TestSimDropSeversConnAndRunResumes(t *testing.T) {
 	slices := testSlices(t.TempDir(), 5, 5)
 	chaos := &faultinject.NetChaos{Drops: []faultinject.NetDrop{{Slice: 0, Item: 2}}}
-	stats, _ := runSim(t, slices, 2, chaos, nil)
+	stats, _ := runSim(t, slices, 2, netPlan(chaos))
 	if stats.ConnDrops < 1 {
 		t.Fatalf("ConnDrops = %d, want >= 1 (the drop severs the stream)", stats.ConnDrops)
 	}
@@ -190,18 +229,31 @@ func TestSimDropSeversConnAndRunResumes(t *testing.T) {
 }
 
 func TestSimPartitionExpiresLeaseAndRecovers(t *testing.T) {
-	slices := testSlices(t.TempDir(), 6, 6)
-	chaos := &faultinject.NetChaos{Partitions: []faultinject.NetPartition{
-		{Slice: 0, AfterItem: 2, Ticks: 2 * DefaultSimTTL},
-	}}
-	stats, _ := runSim(t, slices, 2, chaos, nil)
-	if stats.Expired < 1 {
-		t.Fatalf("Expired = %d, want >= 1 (heartbeat silence must expire the lease)", stats.Expired)
+	for _, tc := range []struct {
+		name      string
+		afterItem int
+	}{
+		{"mid-slice", 2},
+		// The partition swallows the slice's final result: the journal is
+		// one frame short while the holder believes it is done, and the
+		// takeover must complete the slice with no frame lost or doubled.
+		{"final-result", 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			slices := testSlices(t.TempDir(), 6, 6)
+			chaos := &faultinject.NetChaos{Partitions: []faultinject.NetPartition{
+				{Slice: 0, AfterItem: tc.afterItem, Ticks: 2 * DefaultSimTTL},
+			}}
+			stats, _ := runSim(t, slices, 2, netPlan(chaos))
+			if stats.Expired < 1 {
+				t.Fatalf("Expired = %d, want >= 1 (heartbeat silence must expire the lease)", stats.Expired)
+			}
+			if stats.Reassigned < 1 {
+				t.Fatalf("Reassigned = %d, want >= 1", stats.Reassigned)
+			}
+			verifyJournals(t, slices)
+		})
 	}
-	if stats.Reassigned < 1 {
-		t.Fatalf("Reassigned = %d, want >= 1", stats.Reassigned)
-	}
-	verifyJournals(t, slices)
 }
 
 func TestSimDelayedFrameNeverLandsOutOfOrder(t *testing.T) {
@@ -209,7 +261,7 @@ func TestSimDelayedFrameNeverLandsOutOfOrder(t *testing.T) {
 	chaos := &faultinject.NetChaos{Delays: []faultinject.NetDelay{
 		{Slice: 0, Item: 1, Ticks: 3 * DefaultSimTTL / 2},
 	}}
-	stats, _ := runSim(t, slices, 2, chaos, nil)
+	stats, _ := runSim(t, slices, 2, netPlan(chaos))
 	// The late frame either reorders behind its successors (buffered) or
 	// arrives after its epoch died (fenced / duplicate); whichever way the
 	// race lands, the journal bytes must be exact.
@@ -221,31 +273,177 @@ func TestSimDelayedFrameNeverLandsOutOfOrder(t *testing.T) {
 
 func TestSimWorkerKillMidStreamResumes(t *testing.T) {
 	slices := testSlices(t.TempDir(), 6, 4)
-	var mu sync.Mutex
-	fired := false
-	kill := func(slice, item int) (int, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if slice == 0 && item == 3 && !fired {
-			fired = true
-			return 5, true
-		}
-		return 0, false
-	}
-	stats, workerErrs := runSim(t, slices, 2, nil, kill)
+	plan := &faultinject.ShardPlan{Kills: []faultinject.ShardKill{{Slice: 0, AfterResults: 3, TornBytes: 5}}}
+	stats, workerErrs := runSim(t, slices, 2, plan)
 	killed := 0
 	for _, e := range workerErrs {
 		if errors.Is(e, ErrWorkerKilled) {
 			killed++
 		}
 	}
-	if killed != 1 {
-		t.Fatalf("killed workers = %d, want 1 (errs %v)", killed, workerErrs)
+	if killed != 1 || stats.WorkersKilled != 1 {
+		t.Fatalf("killed workers = %d, WorkersKilled = %d, want 1 (errs %v)", killed, stats.WorkersKilled, workerErrs)
 	}
 	if stats.ConnDrops < 1 || stats.Reassigned < 1 {
 		t.Fatalf("stats = %+v, want a conn drop and a reassignment", stats)
 	}
+	// The three results admitted before the death are durable: the
+	// takeover resumes after them instead of recomputing them.
+	if stats.ResumedFrames != 3 {
+		t.Fatalf("ResumedFrames = %d, want 3 (the takeover resumes at the kill point)", stats.ResumedFrames)
+	}
 	verifyJournals(t, slices)
+}
+
+func TestSimFleetSurvivesKillBeforeSecondDial(t *testing.T) {
+	// Worker 0 dies on its first result before worker 1 has dialed: for
+	// a moment the coordinator has no connection at all, yet the fleet is
+	// not over. Worker 1 dials only once the coordinator has closed its
+	// end of worker 0's connection — the dead connection is processed —
+	// and the run must still complete.
+	slices := testSlices(t.TempDir(), 3, 2)
+	var watch *closeWatchListener
+	stats, workerErrs, err := simFleet{
+		slices:  slices,
+		workers: 2,
+		plan:    &faultinject.ShardPlan{Kills: []faultinject.ShardKill{{Slice: 0, AfterResults: 0}}},
+		listen: func(ln Listener) Listener {
+			watch = &closeWatchListener{Listener: ln, firstClosed: make(chan struct{})}
+			return watch
+		},
+		beforeDial: func(i int) {
+			if i == 1 {
+				<-watch.firstClosed
+			}
+		},
+	}.run(t)
+	if err != nil {
+		t.Fatalf("coordinator: %v (stats %+v, worker errs %v)", err, stats, workerErrs)
+	}
+	if !errors.Is(workerErrs[0], ErrWorkerKilled) || workerErrs[1] != nil {
+		t.Fatalf("worker errs %v, want worker 0 killed and worker 1 done", workerErrs)
+	}
+	if stats.WorkersKilled != 1 || stats.Reassigned < 1 {
+		t.Fatalf("stats = %+v, want one kill and slice 0 reassigned", stats)
+	}
+	verifyJournals(t, slices)
+}
+
+// closeWatchListener closes firstClosed when the coordinator closes its
+// end of the first accepted connection.
+type closeWatchListener struct {
+	Listener
+	accepted    bool
+	firstClosed chan struct{}
+}
+
+func (l *closeWatchListener) Accept() (Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil || l.accepted {
+		return c, err
+	}
+	l.accepted = true // Accept runs on the coordinator's one accept loop
+	return &closeWatchConn{Conn: c, closed: l.firstClosed}, nil
+}
+
+type closeWatchConn struct {
+	Conn
+	once   sync.Once
+	closed chan struct{}
+}
+
+func (c *closeWatchConn) Close() error {
+	err := c.Conn.Close()
+	c.once.Do(func() { close(c.closed) })
+	return err
+}
+
+func TestSimManySlicesFewWorkersUnderChurn(t *testing.T) {
+	// Twelve slices on four workers, three of them killed (one on its
+	// very first result) and two live holders partitioned past their
+	// leases — one of them on its slice's final result. The journals must
+	// come out byte for byte as a clean run's.
+	clean := testSlices(t.TempDir(), 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7)
+	runSim(t, clean, 4, nil)
+	want := journalBytes(t, clean)
+
+	faulted := testSlices(t.TempDir(), 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7)
+	stats, _ := runSim(t, faulted, 4, &faultinject.ShardPlan{
+		Kills: []faultinject.ShardKill{
+			{Slice: 0, AfterResults: 0},
+			{Slice: 5, AfterResults: 6, TornBytes: 21},
+			{Slice: 9, AfterResults: 3, TornBytes: 1},
+		},
+		Net: &faultinject.NetChaos{Partitions: []faultinject.NetPartition{
+			{Slice: 2, AfterItem: 1, Ticks: 3 * DefaultSimTTL / 2},
+			{Slice: 7, AfterItem: 6, Ticks: 3 * DefaultSimTTL / 2},
+		}},
+	})
+	if stats.WorkersKilled != 3 {
+		t.Fatalf("WorkersKilled = %d, want 3", stats.WorkersKilled)
+	}
+	if stats.Expired < 2 || stats.Reassigned < 5 {
+		t.Fatalf("stats = %+v, want both partitions expired and all five slices reassigned", stats)
+	}
+	verifyJournals(t, faulted)
+	for i, got := range journalBytes(t, faulted) {
+		if !bytes.Equal(got, want[i]) {
+			t.Fatalf("slice %d journal differs between the faulted and the clean run", i)
+		}
+	}
+}
+
+func TestCoordinatorRefusesBadConfig(t *testing.T) {
+	simnet := NewSimNet(nil)
+	dup := testSlices(t.TempDir(), 1, 1)
+	dup[1].Path = dup[0].Path
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"no transport", Config{Slices: testSlices(t.TempDir(), 1)}, "listener and a clock"},
+		{"no slices", Config{Listener: simnet.Listener(), Clock: simnet}, "no slices"},
+		{"duplicate path", Config{Listener: simnet.Listener(), Clock: simnet, Slices: dup}, "duplicate slice path"},
+	} {
+		if _, err := NewCoordinator(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	if err := RunWorker(simnet.Dialer(), WorkerOptions{Clock: simnet}); err == nil {
+		t.Fatal("worker without a bench constructor accepted")
+	}
+}
+
+func TestForeignJournalIsRefusedOnResume(t *testing.T) {
+	// A WAL with another run's meta sits where a slice journal belongs:
+	// the run must fail at the slice's first grant, and the WAL must be
+	// neither appended to nor truncated.
+	slices := testSlices(t.TempDir(), 3, 2)
+	w, err := journal.Create(slices[0].Path, []byte("someone else's run"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append([]byte("their data")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := readFileBytes(slices[0].Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := (simFleet{slices: slices, workers: 1}).run(t); err == nil || !strings.Contains(err.Error(), "different run") {
+		t.Fatalf("run over a foreign journal: %v, want a different-run error", err)
+	}
+	after, err := readFileBytes(slices[0].Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("the foreign journal was modified")
+	}
 }
 
 // TestZombieEpochFrameIsFencedAndWALStaysIntact scripts the takeover race
@@ -259,11 +457,10 @@ func TestZombieEpochFrameIsFencedAndWALStaysIntact(t *testing.T) {
 	slices := testSlices(t.TempDir(), 3, 1)
 	simnet := NewSimNet(nil)
 	coord, err := NewCoordinator(Config{
-		Listener:        simnet.Listener(),
-		Clock:           simnet,
-		Slices:          slices,
-		RunConfig:       []byte("fake-run-config"),
-		FailWhenDrained: true,
+		Listener:  simnet.Listener(),
+		Clock:     simnet,
+		Slices:    slices,
+		RunConfig: []byte("fake-run-config"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -438,11 +635,10 @@ func TestZombieEpochFrameIsFencedAndWALStaysIntact(t *testing.T) {
 	}
 	net2 := NewSimNet(nil)
 	coord2, err := NewCoordinator(Config{
-		Listener:        net2.Listener(),
-		Clock:           net2,
-		Slices:          slices,
-		RunConfig:       []byte("fake-run-config"),
-		FailWhenDrained: true,
+		Listener:  net2.Listener(),
+		Clock:     net2,
+		Slices:    slices,
+		RunConfig: []byte("fake-run-config"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -502,56 +698,34 @@ func TestTCPLoopbackRunWithMidStreamKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	coord, err := NewCoordinator(Config{
-		Listener:        ln,
-		Clock:           WallClock(),
-		Slices:          slices,
-		RunConfig:       []byte("fake-run-config"),
-		LeaseTTL:        int64(2_000_000_000), // 2s in wall nanoseconds
-		FailWhenDrained: true,
+		Listener:  ln,
+		Clock:     WallClock(),
+		Slices:    slices,
+		RunConfig: []byte("fake-run-config"),
+		LeaseTTL:  int64(2_000_000_000), // 2s in wall nanoseconds
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	fired := false
-	kill := func(slice, item int) (int, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if slice == 0 && item == 2 && !fired {
-			fired = true
-			return 7, true // torn wire prefix: the framing must reject it
-		}
-		return 0, false
-	}
+	// A torn wire prefix: the framing must reject it.
+	kill := (&faultinject.ShardPlan{Kills: []faultinject.ShardKill{{Slice: 0, AfterResults: 2, TornBytes: 7}}}).KillTap()
 	workerErrs := make([]error, 2)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			workerErrs[i] = RunWorker(TCPDialer{Addr: ln.Addr()}, WorkerOptions{
-				Clock:       WallClock(),
-				NewBench:    newFakeBench,
-				IdleTimeout: int64(250_000_000), // 250ms
-				BackoffBase: int64(20_000_000),  // 20ms
-				Scope:       fmt.Sprintf("tcp%d", i),
-				KillTap:     kill,
-			})
-		}(i)
-	}
-	stats, err := coord.Run()
-	wg.Wait()
+	stats, err := RunFleet(coord, 2, func(i int) error {
+		workerErrs[i] = RunWorker(TCPDialer{Addr: ln.Addr()}, WorkerOptions{
+			Clock:       WallClock(),
+			NewBench:    newFakeBench,
+			IdleTimeout: int64(250_000_000), // 250ms
+			BackoffBase: int64(20_000_000),  // 20ms
+			Scope:       fmt.Sprintf("tcp%d", i),
+			KillTap:     kill,
+		})
+		return workerErrs[i]
+	})
 	if err != nil {
 		t.Fatalf("coordinator: %v (stats %+v, worker errs %v)", err, stats, workerErrs)
 	}
-	killed := 0
-	for _, e := range workerErrs {
-		if errors.Is(e, ErrWorkerKilled) {
-			killed++
-		}
-	}
-	if killed != 1 {
-		t.Fatalf("killed workers = %d, want 1 (errs %v)", killed, workerErrs)
+	if stats.WorkersKilled != 1 || !errors.Is(workerErrs[0], ErrWorkerKilled) && !errors.Is(workerErrs[1], ErrWorkerKilled) {
+		t.Fatalf("WorkersKilled = %d, want 1 (errs %v)", stats.WorkersKilled, workerErrs)
 	}
 	if stats.ConnDrops < 1 || stats.Reassigned < 1 {
 		t.Fatalf("stats = %+v, want the killed conn dropped and slice 0 reassigned", stats)

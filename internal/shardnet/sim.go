@@ -4,12 +4,13 @@ package shardnet
 // in-memory frame queues under one logical clock, and every pathology —
 // delay, drop, duplication, the reordering they produce, and partitions —
 // is a seeded draw from the faultinject plan, applied when a frame is
-// sent. There is no wall clock and no goroutine sleeps: like shardcoord,
-// the network advances time by discrete-event warp — when every open
-// endpoint is blocked (receiving or waiting on the clock), the clock
-// jumps to the earliest pending delivery, receive deadline, or wait
-// target. Tests of hostile networks therefore run in microseconds and
-// replay exactly.
+// sent. There is no wall clock and no goroutine sleeps: the network
+// advances time by discrete-event warp — when every open endpoint is
+// blocked (receiving or waiting on the clock), the clock jumps to the
+// earliest pending delivery, receive deadline, or wait target. Tests of
+// hostile networks therefore run in microseconds and replay exactly, and
+// a fault-free network is the in-process fleet's transport: time never
+// passes while a worker computes, so no lease expires under real work.
 //
 // Fault semantics, chosen to mirror a real stream transport:
 //

@@ -30,6 +30,7 @@ import (
 	"pinscope/internal/faultinject"
 	"pinscope/internal/journal"
 	"pinscope/internal/report"
+	"pinscope/internal/shardnet"
 	"pinscope/internal/worldgen"
 )
 
@@ -461,8 +462,9 @@ func (st *Study) Ablations(sample int) (string, error) {
 // reference) and renders how far the Table 3 dynamic prevalences drift as
 // operational faults rise — the robustness envelope of the methodology.
 // Positive-rate points additionally rerun as a 4-shard sharded study under
-// a derived shard-death plan and verify the merged export matches. Each
-// point is a complete study on a fresh world; budget accordingly.
+// a derived shard fault plan — worker kills and network faults — and
+// verify the merged export matches. Each point is a complete study on a
+// fresh world; budget accordingly.
 func ChaosReport(cfg Config, rates []float64) (string, error) {
 	points, err := core.ChaosSweep(cfg.toCore(), rates)
 	if err != nil {
@@ -477,29 +479,33 @@ type ShardOptions struct {
 	// into; each slice journals into its own WAL under Dir.
 	Shards int
 	// Workers sizes the worker pool measuring the slices (0 → one per
-	// shard). Workers hold slices under time-bounded leases: a dead
-	// worker's lease expires and a survivor resumes its slice from the
-	// journal instead of recomputing it.
+	// shard). Workers hold slices under time-bounded leases: a dead or
+	// silent worker loses its lease, and a survivor resumes its slice
+	// from the journal instead of recomputing it.
 	Workers int
 	// Dir is the shard-journal directory (created if missing). Rerunning
 	// over an interrupted run's directory resumes it.
 	Dir string
 	// Kills deterministically kills the worker holding a slice (for
-	// crash-drill runs): slice index → results appended before the cut.
+	// crash-drill runs): slice index → results sent before the death.
 	Kills []ShardKill
-	// KillTorn is the torn-frame length each injected kill leaves on disk.
+	// KillTorn is how many bytes of the interrupted result frame each
+	// injected kill writes on the wire before dying — a torn wire frame
+	// the coordinator's framing must reject. Only a real wire
+	// (RunShardedTCP) carries torn bytes; the simulated network simply
+	// severs the connection.
 	KillTorn int
-	// NetChaosRate, for transported runs (RunShardedNet), derives a
-	// seeded network fault plan — delayed, dropped, and duplicated
+	// NetChaosRate, for RunSharded, derives a seeded network fault plan
+	// for its simulated network — delayed, dropped, and duplicated
 	// frames, plus partitions long enough to expire a lease — at this
 	// rate on top of any explicit Kills. 0 injects nothing; the plan is
 	// capped so at least one shard always makes progress. Ignored by
-	// in-process and TCP runs (a real wire is not simulated).
+	// RunShardedTCP and ServeShards (a real wire is not simulated).
 	NetChaosRate float64
 }
 
-// ShardKill names one injected shard death: the holder of Slice dies while
-// appending result AfterResults (0-based within the slice journal).
+// ShardKill names one injected shard death: the holder of Slice dies right
+// before sending result AfterResults (0-based within the slice).
 type ShardKill struct {
 	Slice        int
 	AfterResults int
@@ -520,49 +526,49 @@ func (o ShardOptions) plan(torn int) *faultinject.ShardPlan {
 
 // ShardStats reports what a sharded run's coordinator observed.
 type ShardStats struct {
-	// Workers and Shards echo the run shape.
+	// Workers counts worker connections welcomed (a reconnect counts
+	// again); Shards echoes the run shape.
 	Workers, Shards int
 	// WorkersKilled counts injected shard deaths that fired.
 	WorkersKilled int
-	// LeasesExpired counts leases that timed out (dead or stalled holder);
-	// Reassigned counts slices a second worker took over.
+	// LeasesExpired counts leases that timed out on a silent holder (a
+	// holder whose connection died loses its lease without expiring);
+	// Reassigned counts grants of a slice that had a holder before.
 	LeasesExpired, Reassigned int
-	// ResumedFrames counts results replayed from shard journals instead of
+	// ResumedFrames counts results found in shard journals instead of
 	// recomputed — on takeover within a run and on rerun of a killed run.
 	ResumedFrames int
 }
 
 // RunSharded executes the study as opts.Shards crash-only slices under
-// lease-based coordination, leaving one journal per slice in opts.Dir. It
-// returns statistics, not a Study: fold the journals into the canonical
-// dataset with MergeShards. If workers die (injected via opts.Kills or a
-// real crash killing the process), rerunning with the same configuration
-// resumes from the journals; MergeShards then produces a dataset
-// byte-identical to an unsharded Run + ExportDataset of the same Config.
+// lease-based coordination, with the worker fleet in this process talking
+// to the coordinator over a simulated in-memory network, and leaves one
+// journal per slice in opts.Dir. It returns statistics, not a Study: fold
+// the journals into the canonical dataset with MergeShards. If workers die
+// (injected via opts.Kills or a real crash killing the process), rerunning
+// with the same configuration resumes from the journals; MergeShards then
+// produces a dataset byte-identical to an unsharded Run + ExportDataset of
+// the same Config — under opts.NetChaosRate's network faults too.
 func RunSharded(cfg Config, opts ShardOptions) (*ShardStats, error) {
 	cc := cfg.toCore()
 	if cfg.JournalPath != "" || cfg.KillAfter > 0 {
 		return nil, errors.New("pinscope: sharded runs journal per shard; JournalPath and KillAfter do not apply")
 	}
 	stats, err := core.RunSharded(cc, core.ShardedConfig{
-		Shards:  opts.Shards,
-		Workers: opts.Workers,
-		Dir:     opts.Dir,
-		Faults:  opts.plan(opts.KillTorn),
+		Shards:       opts.Shards,
+		Workers:      opts.Workers,
+		Dir:          opts.Dir,
+		Faults:       opts.plan(opts.KillTorn),
+		NetChaosRate: opts.NetChaosRate,
 	})
 	if stats == nil {
 		return nil, err
 	}
-	return &ShardStats{
-		Workers: stats.Workers, Shards: stats.Slices,
-		WorkersKilled: stats.WorkersKilled,
-		LeasesExpired: stats.Expired, Reassigned: stats.Reassigned,
-		ResumedFrames: stats.ResumedFrames,
-	}, err
+	return &netShardStats(stats).ShardStats, err
 }
 
-// NetShardStats reports a transported sharded run: the shard accounting
-// plus the transport's own counters.
+// NetShardStats reports a sharded run with the transport's own counters
+// besides the shard accounting.
 type NetShardStats struct {
 	ShardStats
 	// Fenced counts zombie-epoch frames refused after a lease takeover;
@@ -573,52 +579,23 @@ type NetShardStats struct {
 	Fenced, Duplicates, Reordered, SendRetries, ConnDrops int
 }
 
-func netShardStats(stats *core.NetShardStats) *NetShardStats {
-	if stats == nil {
-		return nil
-	}
+func netShardStats(stats *shardnet.Stats) *NetShardStats {
 	return &NetShardStats{
 		ShardStats: ShardStats{
-			Workers: stats.Net.Workers, Shards: stats.Net.Slices,
+			Workers: stats.Workers, Shards: stats.Slices,
 			WorkersKilled: stats.WorkersKilled,
-			LeasesExpired: stats.Net.Expired, Reassigned: stats.Net.Reassigned,
-			ResumedFrames: stats.Net.ResumedFrames,
+			LeasesExpired: stats.Expired, Reassigned: stats.Reassigned,
+			ResumedFrames: stats.ResumedFrames,
 		},
-		Fenced:      stats.Net.Fenced,
-		Duplicates:  stats.Net.Duplicates,
-		Reordered:   stats.Net.Reordered,
-		SendRetries: stats.Net.SendRetries,
-		ConnDrops:   stats.Net.ConnDrops,
+		Fenced:      stats.Fenced,
+		Duplicates:  stats.Duplicates,
+		Reordered:   stats.Reordered,
+		SendRetries: stats.SendRetries,
+		ConnDrops:   stats.ConnDrops,
 	}
 }
 
-// RunShardedNet executes the sharded study over the deterministic
-// simulated network: the coordinator and its worker fleet exchange
-// framed messages — heartbeats separated from result streams — through an
-// in-process transport whose pathologies (delayed, dropped, and
-// duplicated frames, partitions that outlive a lease) are seeded draws
-// via ShardOptions.NetChaosRate. Lease takeover, epoch fencing, and
-// backed-off sends recover from every injected fault; journals, resume
-// semantics, and MergeShards byte-identity are exactly RunSharded's.
-func RunShardedNet(cfg Config, opts ShardOptions) (*NetShardStats, error) {
-	cc := cfg.toCore()
-	if cfg.JournalPath != "" || cfg.KillAfter > 0 {
-		return nil, errors.New("pinscope: sharded runs journal per shard; JournalPath and KillAfter do not apply")
-	}
-	stats, err := core.RunShardedNet(cc, core.ShardedConfig{
-		Shards:       opts.Shards,
-		Workers:      opts.Workers,
-		Dir:          opts.Dir,
-		Faults:       opts.plan(opts.KillTorn),
-		NetChaosRate: opts.NetChaosRate,
-	})
-	if stats == nil {
-		return nil, err
-	}
-	return netShardStats(stats), err
-}
-
-// RunShardedTCP is RunShardedNet over real loopback TCP: the coordinator
+// RunShardedTCP is RunSharded over real loopback TCP: the coordinator
 // listens on 127.0.0.1, workers dial it, and every frame crosses an
 // actual socket under the same CRC-checked framing the journals use.
 // Network chaos is not injected — the wire is real — but injected worker

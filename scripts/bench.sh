@@ -10,15 +10,13 @@
 #                                benchmarks (warm and cold end-to-end study,
 #                                chain-store and handshake-memo micro
 #                                benches), the sharded-coordinator pair
-#                                (single shard vs 4 faulted shards), the
-#                                transported sharded run over the simulated
-#                                network, and the longitudinal three-point
-#                                sweep, and writes BENCH_9.json at the repo
-#                                root with ns/op, allocs/op, the warm/cold
-#                                speedup, the speedup against the pre-plane
-#                                baseline, speedup_vs_single_shard, the
-#                                transport-overhead-vs-in-process ratio, and
-#                                the longitudinal-vs-three-studies ratio.
+#                                (single shard vs 4 faulted shards), and the
+#                                longitudinal three-point sweep, and writes
+#                                BENCH_9.json at the repo root with ns/op,
+#                                allocs/op, the warm/cold speedup, the
+#                                speedup against the pre-plane baseline,
+#                                speedup_vs_single_shard, and the
+#                                longitudinal-vs-three-studies ratio.
 #                                Finishes by diffing against the previous
 #                                BENCH_*.json snapshot
 #                                (scripts/bench_compare.sh).
@@ -55,9 +53,6 @@ go test . -run NONE -bench 'BenchmarkChainStore$|BenchmarkHandshakeMemo$' -bench
 echo "==> sharded coordinator, one shard vs 4 faulted shards (-benchtime 3x -benchmem)"
 go test . -run NONE -bench 'BenchmarkStudySingleShard$|BenchmarkStudyShardedEndToEnd$' -benchtime 3x -benchmem | tee -a "$raw"
 
-echo "==> transported sharded run over the simulated network (-benchtime 3x -benchmem)"
-go test . -run NONE -bench 'BenchmarkStudyShardNetSim$' -benchtime 3x -benchmem | tee -a "$raw"
-
 echo "==> longitudinal three-point sweep (-benchtime 3x -benchmem)"
 go test . -run NONE -bench 'BenchmarkLongitudinalStudy$' -benchtime 3x -benchmem | tee -a "$raw"
 
@@ -83,10 +78,6 @@ awk -v out="$OUT" -v baseline="$BASELINE_STUDY_NS" '
             print "bench.sh: sharded benchmarks missing from output" > "/dev/stderr"
             exit 1
         }
-        if (!("BenchmarkStudyShardNetSim" in ns)) {
-            print "bench.sh: transported sharded benchmark missing from output" > "/dev/stderr"
-            exit 1
-        }
         if (!("BenchmarkLongitudinalStudy" in ns)) {
             print "bench.sh: longitudinal benchmark missing from output" > "/dev/stderr"
             exit 1
@@ -110,13 +101,6 @@ awk -v out="$OUT" -v baseline="$BASELINE_STUDY_NS" '
         # single-core runner this sits near 1.0 (the workers only share the
         # one core); on an N-core runner it approaches min(N, 4).
         printf "  \"speedup_vs_single_shard\": %.2f,\n", ns["BenchmarkStudySingleShard"] / ns["BenchmarkStudyShardedEndToEnd"] >> out
-        # The same faulted 4-worker workload with every grant, heartbeat,
-        # and result crossing the simulated message-framed transport,
-        # divided by the in-process channel version. Prices frame
-        # encode/decode, the coordinator event loop, and lease takeover
-        # over the wire; values near 1.0 mean the transport is not the
-        # bottleneck.
-        printf "  \"transport_overhead_vs_inprocess\": %.2f,\n", ns["BenchmarkStudyShardNetSim"] / ns["BenchmarkStudyShardedEndToEnd"] >> out
         # Three timeline points against three independent studies: the
         # longitudinal runner builds the world once and re-measures, so a
         # value below 3.0 prices the shared-world and crypto-plane reuse.

@@ -2,7 +2,7 @@
 # check.sh — the repo's one-command health gate: gofmt, build, vet, the
 # pinlint invariant suite diffed against its checked-in baseline, full
 # test suite (shuffled), a race-detector pass over the whole tree (minus
-# the slowest fault-injection e2e sweeps), a race-checked network-chaos
+# the slowest fault-injection e2e sweeps), a race-checked shard-fleet
 # smoke over both shard transports, a longitudinal kill/resume smoke, a
 # cross-process shard merge smoke, a one-iteration benchmark smoke, and
 # a short fuzz smoke over journal recovery.
@@ -63,15 +63,16 @@ go test -race -timeout 20m \
     -skip 'TestFaultedStudyIsDeterministicAcrossSchedules|TestStudySurvivesHeavyFaults|TestKillAtEveryFrameBoundaryThenResume|TestDegradationAndQuarantinePaths' \
     ./...
 
-# Network-chaos smoke, race-checked: the transported sharded run must
-# merge byte-identical to the single-process study over BOTH transports —
-# the simulated network under seeded delay/drop/dup/partition faults plus
-# a mid-stream worker death, and real loopback TCP with a worker kill.
-# The shuffled pass above already ran these once without -race; this pass
-# races the coordinator event loop, the outbox pumps, and the lease
-# takeover paths specifically, because those goroutines are exactly where
-# a transport regression would hide.
-echo "==> network-chaos smoke (-race, sim + loopback TCP)"
+# Shard-fleet smoke, race-checked: a sharded run must merge byte-identical
+# to the single-process study over BOTH transports — the in-process fleet
+# on the simulated network under seeded delay/drop/dup/partition faults
+# plus a mid-stream worker death, its whole-fleet death and rerun, and
+# real loopback TCP with a worker kill. The shuffled pass above already
+# ran these once without -race; this pass races the coordinator event
+# loop, the outbox pumps, and the lease takeover paths specifically,
+# because those goroutines are exactly where a protocol regression would
+# hide.
+echo "==> shard-fleet smoke (-race, simulated network + loopback TCP)"
 go test -race -count=1 \
     -run 'TestShardNetSimMergesByteIdentical|TestShardNetTCPMergesByteIdentical|TestShardNetRerunResumesAfterFleetDeath|TestShardNetDerivedPlanMergesByteIdentical' \
     ./internal/core
