@@ -143,8 +143,7 @@ func runTimeline(seed int64, points string) {
 			tags = append(tags, t)
 		}
 	}
-	cfg := core.Config{Params: worldgen.TestParams(seed), Window: 30}
-	ls, err := core.RunLongitudinal(cfg, core.TimelineConfig{Points: tags})
+	ls, err := core.RunLongitudinal(core.TestConfig(seed), core.TimelineConfig{Points: tags})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pindiff: %v\n", err)
 		os.Exit(1)

@@ -26,10 +26,7 @@ func main() {
 	var params worldgen.Params
 	switch *scale {
 	case "paper":
-		params = worldgen.DefaultParams()
-		if *seed != 0 {
-			params.Seed = *seed
-		}
+		params = worldgen.Derive(worldgen.Params{Seed: *seed})
 	case "mini":
 		s := *seed
 		if s == 0 {

@@ -38,7 +38,9 @@ var (
 // fingerprints (all omitempty, so version-1 snapshots still load).
 const DatasetVersion = 2
 
-// DatasetMeta reproduces the run: the seed and sizes regenerate the world.
+// DatasetMeta records the run's seed, dataset sizes and capture window.
+// It does not record the store sizes, so it regenerates the world only
+// together with the scale it ran at (worldgen.Derive fills the rest).
 type DatasetMeta struct {
 	Seed        int64   `json:"seed"`
 	CommonSize  int     `json:"common_size"`

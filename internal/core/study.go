@@ -89,12 +89,8 @@ func (cfg Config) baseStores(w *worldgen.World) map[appmodel.Platform]*pki.RootS
 	}
 }
 
-// DefaultConfig is the paper-scale configuration.
-func DefaultConfig() Config {
-	return Config{Params: worldgen.DefaultParams(), Window: 30}
-}
-
-// TestConfig is a miniature configuration for tests and examples.
+// TestConfig is a miniature configuration for tests and examples: the
+// world pinscope.MiniConfig(seed) studies.
 func TestConfig(seed int64) Config {
 	return Config{Params: worldgen.TestParams(seed), Window: 30}
 }

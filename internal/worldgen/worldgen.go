@@ -38,24 +38,47 @@ type Params struct {
 	PopularCut int
 }
 
-// DefaultParams reproduces the paper's dataset sizes (§3).
-func DefaultParams() Params {
-	return Params{
-		Seed:       20221025, // IMC'22 opening day
-		CommonSize: 575, PopularSize: 1000, RandomSize: 1000,
-		StoreAndroid: 42000, StoreIOS: 39000,
-		CrossProducts: 700, PopularCut: 12000,
+// Derive completes p into the Params of the world a study at p's scale
+// runs. Zero Seed and sizes take the paper's (§3). The cross-listed
+// product count follows CommonSize, because the §3 Common set is cut
+// from the products listed on both stores, and the popular-mix head keeps
+// its share of the Android store. Commands, examples and studies build
+// their worlds through Derive, so a seed and sizes name one world.
+func Derive(p Params) Params {
+	const paperStoreAndroid, paperPopularCut = 42000, 12000
+	if p.Seed == 0 {
+		p.Seed = 20221025 // IMC'22 opening day
 	}
+	if p.CommonSize == 0 {
+		p.CommonSize = 575
+	}
+	if p.PopularSize == 0 {
+		p.PopularSize = 1000
+	}
+	if p.RandomSize == 0 {
+		p.RandomSize = 1000
+	}
+	if p.StoreAndroid == 0 {
+		p.StoreAndroid = paperStoreAndroid
+	}
+	if p.StoreIOS == 0 {
+		p.StoreIOS = 39000
+	}
+	p.CrossProducts = p.CommonSize + p.CommonSize/4
+	p.PopularCut = p.StoreAndroid * paperPopularCut / paperStoreAndroid
+	return p
 }
+
+// DefaultParams reproduces the paper's dataset sizes (§3).
+func DefaultParams() Params { return Derive(Params{}) }
 
 // TestParams is a CI-friendly miniature world.
 func TestParams(seed int64) Params {
-	return Params{
+	return Derive(Params{
 		Seed:       seed,
 		CommonSize: 60, PopularSize: 100, RandomSize: 100,
 		StoreAndroid: 4200, StoreIOS: 3900,
-		CrossProducts: 80, PopularCut: 1200,
-	}
+	})
 }
 
 // HostKind labels destination hosts for payload/PII synthesis.

@@ -120,37 +120,11 @@ func MiniConfig(seed int64) Config {
 }
 
 func (c Config) toCore() core.Config {
-	def := worldgen.DefaultParams()
-	p := worldgen.Params{
+	p := worldgen.Derive(worldgen.Params{
 		Seed:       c.Seed,
 		CommonSize: c.CommonSize, PopularSize: c.PopularSize, RandomSize: c.RandomSize,
 		StoreAndroid: c.StoreAndroid, StoreIOS: c.StoreIOS,
-		PopularCut: def.PopularCut,
-	}
-	if p.Seed == 0 {
-		p.Seed = def.Seed
-	}
-	if p.CommonSize == 0 {
-		p.CommonSize = def.CommonSize
-	}
-	if p.PopularSize == 0 {
-		p.PopularSize = def.PopularSize
-	}
-	if p.RandomSize == 0 {
-		p.RandomSize = def.RandomSize
-	}
-	if p.StoreAndroid == 0 {
-		p.StoreAndroid = def.StoreAndroid
-	}
-	if p.StoreIOS == 0 {
-		p.StoreIOS = def.StoreIOS
-	}
-	// Keep the popular-mix head proportional on resized stores (shrunk
-	// mini worlds and the grown 100k-app universe alike).
-	if p.StoreAndroid != def.StoreAndroid {
-		p.PopularCut = p.StoreAndroid * def.PopularCut / def.StoreAndroid
-	}
-	p.CrossProducts = p.CommonSize + p.CommonSize/4
+	})
 	win := c.Window
 	if win == 0 {
 		win = 30

@@ -1,9 +1,13 @@
 package pinscope
 
 import (
+	"bytes"
 	"strings"
 	"sync"
 	"testing"
+
+	"pinscope/internal/core"
+	"pinscope/internal/worldgen"
 )
 
 var (
@@ -106,6 +110,37 @@ func TestConfigDefaults(t *testing.T) {
 	mini := MiniConfig(5).toCore()
 	if mini.Params.PopularCut >= 12000 {
 		t.Fatalf("popular cut not scaled: %d", mini.Params.PopularCut)
+	}
+	// One world definition: the facade's configs and worldgen's named
+	// Params derive the same world.
+	if got, want := PaperConfig().toCore().Params, worldgen.DefaultParams(); got != want {
+		t.Fatalf("paper world: facade %+v, worldgen %+v", got, want)
+	}
+	if got, want := mini.Params, worldgen.TestParams(5); got != want {
+		t.Fatalf("mini world: facade %+v, worldgen %+v", got, want)
+	}
+	if p := Config100k(1).toCore().Params; p.CrossProducts != 6250 || p.PopularCut != 120000 {
+		t.Fatalf("100k world: CrossProducts %d PopularCut %d, want 6250 and 120000", p.CrossProducts, p.PopularCut)
+	}
+}
+
+// TestCoreTestConfigIsMiniWorld holds the world the core tests and the
+// go-test benchmarks run (core.TestConfig) to the one pinstudy -scale mini
+// studies: the same seed must export the same bytes.
+func TestCoreTestConfigIsMiniWorld(t *testing.T) {
+	s, err := core.Run(core.TestConfig(2024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want bytes.Buffer
+	if err := s.WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := facadeStudy(t).ExportDataset(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("core.TestConfig(2024) exports %d bytes, MiniConfig(2024) %d: different worlds", got.Len(), want.Len())
 	}
 }
 

@@ -1,11 +1,12 @@
 #!/bin/sh
-# check.sh — the repo's one-command health gate: gofmt, build, vet, the
-# pinlint invariant suite diffed against its checked-in baseline, full
-# test suite (shuffled), a race-detector pass over the whole tree (minus
-# the slowest fault-injection e2e sweeps), a race-checked shard-fleet
-# smoke over both shard transports, a longitudinal kill/resume smoke, a
-# cross-process shard merge smoke, a one-iteration benchmark smoke, and
-# a short fuzz smoke over journal recovery.
+# check.sh — the repo's one-command health gate: gofmt, build (the repo
+# and the perfbench module), vet, the pinlint invariant suite diffed
+# against its checked-in baseline, full test suite (shuffled), a
+# race-detector pass over the whole tree (minus the slowest
+# fault-injection e2e sweeps), a race-checked shard-fleet smoke over both
+# shard transports, a longitudinal kill/resume smoke, a cross-process
+# shard merge smoke, a one-iteration benchmark smoke, and short fuzz
+# smokes over journal recovery and the shard wire decoder.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -20,6 +21,12 @@ fi
 
 echo "==> go build ./..."
 go build ./...
+
+# perfbench is a module of its own (the benchmark of record), so the build
+# above never compiles it; build it here so an API change that breaks the
+# benchmark fails the gate. -o /dev/null keeps the binary out of the tree.
+echo "==> perfbench: go build ./..."
+(cd perfbench && go build -o /dev/null ./...)
 
 # go vet with an explicit pass list rather than the implicit default set.
 # The first three are the load-bearing ones for this codebase and must
@@ -116,5 +123,11 @@ echo "==> bench smoke"
 # on disk, Recover must never panic and never return unverified data.
 echo "==> go test -fuzz=FuzzJournalRecover (5s smoke)"
 go test ./internal/journal -run NONE -fuzz 'FuzzJournalRecover' -fuzztime 5s
+
+# The same over the shard wire: whatever bytes a peer sends, the TCP
+# framing and payload decoders must never panic, never return a frame
+# whose checksum failed, and never allocate past MaxWireFrame.
+echo "==> go test -fuzz=FuzzFrameDecode (5s smoke)"
+go test ./internal/shardnet -run NONE -fuzz 'FuzzFrameDecode' -fuzztime 5s
 
 echo "OK"
