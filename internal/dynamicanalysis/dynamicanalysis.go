@@ -43,6 +43,9 @@ func (s ConnStatus) String() string {
 	return "inconclusive"
 }
 
+// Classifier maps a flow to a connection status.
+type Classifier func(*netem.Flow) ConnStatus
+
 // ClassifyFlow applies the used/failed heuristics to one captured flow.
 //
 // TLS <= 1.2: any application_data record means the connection was used —
@@ -54,73 +57,9 @@ func (s ConnStatus) String() string {
 // application data (the first is always the client Finished on successful
 // connections).
 func ClassifyFlow(f *netem.Flow) ConnStatus {
-	version := f.NegotiatedVersion()
+	var version tlswire.Version
 	used := false
-	switch {
-	case version == 0:
-		// No ServerHello in the capture: either the handshake really died
-		// that early, or the tap lost the record. Fall back to length
-		// fingerprints, which hold for both wire formats: any client
-		// application_data record that is neither a Finished nor an
-		// encrypted alert, or any server record beyond the first (the
-		// certificate flight) that is neither Finished, ticket nor alert,
-		// is application traffic.
-		serverApp := 0
-		for _, r := range f.Records() {
-			if r.WireType != tlswire.RecAppData {
-				continue
-			}
-			if r.FromClient {
-				if r.Length != tlswire.FinishedWireLen && r.Length != tlswire.EncryptedAlertWireLen {
-					used = true
-				}
-				continue
-			}
-			serverApp++
-			if serverApp > 1 && r.Length != tlswire.FinishedWireLen &&
-				r.Length != tlswire.SessionTicketWireLen &&
-				r.Length != tlswire.EncryptedAlertWireLen {
-				used = true
-			}
-		}
-	case version <= tlswire.TLS12:
-		for _, r := range f.Records() {
-			if r.WireType == tlswire.RecAppData {
-				used = true
-				break
-			}
-		}
-	default: // TLS 1.3
-		var clientApp []int
-		serverApp := 0
-		for _, r := range f.Records() {
-			if r.WireType != tlswire.RecAppData {
-				continue
-			}
-			if r.FromClient {
-				clientApp = append(clientApp, r.Length)
-				continue
-			}
-			serverApp++
-			// Server-side evidence, robust to capture loss of client
-			// records: after the certificate flight (the first encrypted
-			// server record), an unused connection only ever carries
-			// Finished, session tickets, and alerts — all of fixed wire
-			// length. A later server record of any other length is an
-			// application response, and responses only follow requests.
-			if serverApp > 1 && r.Length != tlswire.FinishedWireLen &&
-				r.Length != tlswire.SessionTicketWireLen &&
-				r.Length != tlswire.EncryptedAlertWireLen {
-				used = true
-			}
-		}
-		switch {
-		case len(clientApp) > 2:
-			used = true
-		case len(clientApp) == 2 && clientApp[1] != tlswire.EncryptedAlertWireLen:
-			used = true
-		}
-	}
+	f.ViewRecords(func(recs []tlswire.Summary) { version, used = classifyRecords(recs) })
 	if used {
 		return StatusUsed
 	}
@@ -141,13 +80,89 @@ func ClassifyFlow(f *netem.Flow) ConnStatus {
 	return StatusFailed
 }
 
-// flowDest returns the destination key for grouping: SNI when present
-// (>99% of study traffic), else the dialed host.
-func flowDest(f *netem.Flow) string {
-	if sni := f.SNI(); sni != "" {
-		return sni
+// classifyRecords reads one flow's records for ClassifyFlow: the version
+// of the captured ServerHello (0 without one) and whether the records show
+// application data.
+func classifyRecords(recs []tlswire.Summary) (version tlswire.Version, used bool) {
+	for i := range recs {
+		if recs[i].SHello != nil {
+			version = recs[i].SHello.Version
+			break
+		}
 	}
-	return f.Dst
+	switch {
+	case version == 0:
+		// No ServerHello in the capture: either the handshake really died
+		// that early, or the tap lost the record. Fall back to length
+		// fingerprints, which hold for both wire formats: any client
+		// application_data record that is neither a Finished nor an
+		// encrypted alert, or any server record beyond the first (the
+		// certificate flight) that is neither Finished, ticket nor alert,
+		// is application traffic.
+		serverApp := 0
+		for i := range recs {
+			r := &recs[i]
+			if r.WireType != tlswire.RecAppData {
+				continue
+			}
+			if r.FromClient {
+				if r.Length != tlswire.FinishedWireLen && r.Length != tlswire.EncryptedAlertWireLen {
+					used = true
+				}
+				continue
+			}
+			serverApp++
+			if serverApp > 1 && !fixedServerLen(r.Length) {
+				used = true
+			}
+		}
+	case version <= tlswire.TLS12:
+		for i := range recs {
+			if recs[i].WireType == tlswire.RecAppData {
+				used = true
+				break
+			}
+		}
+	default: // TLS 1.3
+		clientApp, clientSecondLen, serverApp := 0, 0, 0
+		for i := range recs {
+			r := &recs[i]
+			if r.WireType != tlswire.RecAppData {
+				continue
+			}
+			if r.FromClient {
+				clientApp++
+				if clientApp == 2 {
+					clientSecondLen = r.Length
+				}
+				continue
+			}
+			serverApp++
+			// Server-side evidence, robust to capture loss of client
+			// records: after the certificate flight (the first encrypted
+			// server record), an unused connection only ever carries
+			// Finished, session tickets, and alerts — all of fixed wire
+			// length. A later server record of any other length is an
+			// application response, and responses only follow requests.
+			if serverApp > 1 && !fixedServerLen(r.Length) {
+				used = true
+			}
+		}
+		switch {
+		case clientApp > 2:
+			used = true
+		case clientApp == 2 && clientSecondLen != tlswire.EncryptedAlertWireLen:
+			used = true
+		}
+	}
+	return version, used
+}
+
+// fixedServerLen reports whether a server record after the certificate
+// flight has the wire length of a Finished, a session ticket or an
+// encrypted alert — the only records an unused connection carries.
+func fixedServerLen(n int) bool {
+	return n == tlswire.FinishedWireLen || n == tlswire.SessionTicketWireLen || n == tlswire.EncryptedAlertWireLen
 }
 
 // DestSummary aggregates one destination's connections within one capture.
@@ -167,15 +182,44 @@ type DestSummary struct {
 
 // SummarizeCapture groups a capture's flows by destination.
 func SummarizeCapture(cap *netem.Capture) map[string]*DestSummary {
+	return SummarizeCaptureWith(cap, ClassifyFlow)
+}
+
+// SummarizeCaptureWith is SummarizeCapture with a pluggable classifier.
+// Each flow's records are read in place (netem.Flow.ViewRecords), never
+// copied: a study summarizes tens of thousands of flows.
+func SummarizeCaptureWith(cap *netem.Capture, classify Classifier) map[string]*DestSummary {
 	out := make(map[string]*DestSummary)
 	for _, f := range cap.Flows() {
-		dest := flowDest(f)
+		var hello *tlswire.HelloInfo
+		var version tlswire.Version
+		clientAlert := false
+		f.ViewRecords(func(recs []tlswire.Summary) {
+			for i := range recs {
+				r := &recs[i]
+				if hello == nil && r.Hello != nil {
+					hello = r.Hello
+				}
+				if version == 0 && r.SHello != nil {
+					version = r.SHello.Version
+				}
+				if r.FromClient && r.HasAlert && r.Alert != tlswire.AlertCloseNotify {
+					clientAlert = true
+				}
+			}
+		})
+		// Flows group by SNI when present (>99% of study traffic), else by
+		// the dialed host.
+		dest := f.Dst
+		if hello != nil && hello.SNI != "" {
+			dest = hello.SNI
+		}
 		ds := out[dest]
 		if ds == nil {
 			ds = &DestSummary{Dest: dest, Versions: make(map[tlswire.Version]bool)}
 			out[dest] = ds
 		}
-		switch ClassifyFlow(f) {
+		switch classify(f) {
 		case StatusUsed:
 			ds.Used++
 		case StatusFailed:
@@ -183,20 +227,18 @@ func SummarizeCapture(cap *netem.Capture) map[string]*DestSummary {
 		default:
 			ds.Inconclusive++
 		}
-		if h := f.ClientHello(); h != nil {
-			for _, c := range h.CipherSuites {
+		if hello != nil {
+			for _, c := range hello.CipherSuites {
 				if c.IsWeak() {
 					ds.WeakCipherOffered = true
 				}
 			}
 		}
-		if v := f.NegotiatedVersion(); v != 0 {
-			ds.Versions[v] = true
+		if version != 0 {
+			ds.Versions[version] = true
 		}
-		for _, r := range f.Records() {
-			if r.FromClient && r.HasAlert && r.Alert != tlswire.AlertCloseNotify {
-				ds.SawClientAlert = true
-			}
+		if clientAlert {
+			ds.SawClientAlert = true
 		}
 	}
 	return out
@@ -311,8 +353,13 @@ func excluded(dest string, patterns []string) bool {
 
 // Detect runs the differential analysis over an app's two captures.
 func Detect(appID string, noMITM, mitm *netem.Capture, opts Options) *Result {
-	base := SummarizeCapture(noMITM)
-	inter := SummarizeCapture(mitm)
+	return DetectWith(appID, noMITM, mitm, opts, ClassifyFlow)
+}
+
+// DetectWith runs the differential analysis with a pluggable classifier.
+func DetectWith(appID string, noMITM, mitm *netem.Capture, opts Options, classify Classifier) *Result {
+	base := SummarizeCaptureWith(noMITM, classify)
+	inter := SummarizeCaptureWith(mitm, classify)
 	res := &Result{AppID: appID, Verdicts: make(map[string]*DestVerdict)}
 
 	all := make(map[string]bool)

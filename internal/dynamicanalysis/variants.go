@@ -10,94 +10,27 @@ import (
 	"pinscope/internal/tlswire"
 )
 
-// Classifier maps a flow to a connection status.
-type Classifier func(*netem.Flow) ConnStatus
-
 // ClassifyFlowLegacy treats every version like TLS <= 1.2: any
 // application_data record counts as "used". Under TLS 1.3 this mistakes
 // handshake flights and encrypted alerts for application traffic.
 func ClassifyFlowLegacy(f *netem.Flow) ConnStatus {
-	for _, r := range f.Records() {
-		if r.WireType == tlswire.RecAppData {
-			return StatusUsed
+	used := false
+	f.ViewRecords(func(recs []tlswire.Summary) {
+		for i := range recs {
+			if recs[i].WireType == tlswire.RecAppData {
+				used = true
+				return
+			}
 		}
+	})
+	if used {
+		return StatusUsed
 	}
 	clientClose, _ := f.CloseFlags()
 	if clientClose != tlswire.CloseNone {
 		return StatusFailed
 	}
 	return StatusInconclusive
-}
-
-// SummarizeCaptureWith is SummarizeCapture with a pluggable classifier.
-func SummarizeCaptureWith(cap *netem.Capture, classify Classifier) map[string]*DestSummary {
-	out := make(map[string]*DestSummary)
-	for _, f := range cap.Flows() {
-		dest := flowDest(f)
-		ds := out[dest]
-		if ds == nil {
-			ds = &DestSummary{Dest: dest, Versions: make(map[tlswire.Version]bool)}
-			out[dest] = ds
-		}
-		switch classify(f) {
-		case StatusUsed:
-			ds.Used++
-		case StatusFailed:
-			ds.Failed++
-		default:
-			ds.Inconclusive++
-		}
-		if h := f.ClientHello(); h != nil {
-			for _, c := range h.CipherSuites {
-				if c.IsWeak() {
-					ds.WeakCipherOffered = true
-				}
-			}
-		}
-		if v := f.NegotiatedVersion(); v != 0 {
-			ds.Versions[v] = true
-		}
-	}
-	return out
-}
-
-// DetectWith runs the differential analysis with a pluggable classifier.
-func DetectWith(appID string, noMITM, mitm *netem.Capture, opts Options, classify Classifier) *Result {
-	base := SummarizeCaptureWith(noMITM, classify)
-	inter := SummarizeCaptureWith(mitm, classify)
-	res := &Result{AppID: appID, Verdicts: make(map[string]*DestVerdict)}
-	all := make(map[string]bool)
-	for d := range base {
-		all[d] = true
-	}
-	for d := range inter {
-		all[d] = true
-	}
-	for dest := range all {
-		v := &DestVerdict{Dest: dest, Excluded: excluded(dest, opts.ExcludeDomains)}
-		if b := base[dest]; b != nil {
-			v.UsedNoMITM = b.Used > 0
-			v.WeakCipherOffered = b.WeakCipherOffered
-			v.ConclusiveFlows += b.Used + b.Failed
-		}
-		if m := inter[dest]; m != nil {
-			v.UsedMITM = m.Used > 0
-			v.ConclusiveFlows += m.Used + m.Failed
-		}
-		// Same failure-excess differential as Detect: failures present in
-		// both captures cancel; only interception-induced ones count.
-		if !v.Excluded && v.UsedNoMITM {
-			bFailed := 0
-			if b := base[dest]; b != nil {
-				bFailed = b.Failed
-			}
-			if m := inter[dest]; m != nil && m.Used == 0 && m.Failed > bFailed {
-				v.Pinned = true
-			}
-		}
-		res.Verdicts[dest] = v
-	}
-	return res
 }
 
 // DetectNaive is the non-differential strawman: it looks ONLY at the MITM

@@ -51,6 +51,15 @@ func (f *Flow) Records() []tlswire.Summary {
 	return out
 }
 
+// ViewRecords calls fn with the captured record summaries while holding
+// the flow's lock: a read without the copy Records makes. fn must not
+// retain the slice (a released capture recycles it) or call back into f.
+func (f *Flow) ViewRecords(fn func([]tlswire.Summary)) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	fn(f.records)
+}
+
 // SNI returns the server name from the captured ClientHello, or "".
 func (f *Flow) SNI() string {
 	f.mu.Lock()
@@ -220,8 +229,8 @@ func (c *Capture) AddReplayedFlow(dst string, at float64, records []tlswire.Summ
 
 // Release returns the capture's pooled record buffers and drops its flows.
 // Call it only once the consuming analysis is done with the capture AND the
-// network is idle (no handler still appending); the flows' Records() views
-// become empty afterwards. Releasing is optional — unreleased captures are
+// network is idle (no handler still appending); the flows' records read
+// empty afterwards. Releasing is optional — unreleased captures are
 // simply garbage collected.
 func (c *Capture) Release() {
 	if c == nil {

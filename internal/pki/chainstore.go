@@ -101,10 +101,12 @@ func RawDigest(cert *x509.Certificate) [sha256.Size]byte {
 // of the issuance (issuer key, serial, validity, SANs, subject key). A
 // process that runs the same study twice re-derives identical keys and
 // serials from the seed, so every x509.CreateCertificate call after the
-// first would sign, self-verify, encode and re-parse a certificate that
-// differs only in its (unobservable) hedged signature bytes. The intern hit
-// skips all of that. The key covers every template field issueLeafWithKey
-// varies; constant fields (key usages, EKU) need no representation.
+// first would sign, self-verify, encode and re-parse a certificate whose
+// bytes — RFC 6979 signature included — equal the first one's. The intern
+// hit skips all of that and hands back the very same *x509.Certificate,
+// whose digests and signature-memo entry are already in place. The key
+// covers every template field issueLeafWithKey varies; constant fields
+// (key usages, EKU) need no representation.
 var leafIntern sync.Map // string -> *x509.Certificate
 
 // leafInternKey builds the content key for one leaf issuance.

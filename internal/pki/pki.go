@@ -14,7 +14,6 @@ package pki
 import (
 	"crypto/ecdsa"
 	"crypto/elliptic"
-	"crypto/rand"
 	"crypto/sha1"
 	"crypto/sha256"
 	"crypto/x509"
@@ -25,7 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,6 +72,36 @@ func deterministicKey(rng *detrand.Source) *ecdsa.PrivateKey {
 	}
 }
 
+// createCertificate signs tmpl with signer under parent (nil: tmpl is
+// self-signed) and parses the result. The rand source is nil, so ECDSA
+// signs by RFC 6979: equal inputs give equal DER in every process, and a
+// remote worker's world carries the same certificate bytes as the
+// coordinator's. x509.CreateCertificate verifies every signature it makes
+// against signer's public key; when that is the key the issuing
+// certificate carries, the outcome is recorded in the signature memo, so a
+// chain walk over this link costs a memo hit instead of a second verify.
+func createCertificate(tmpl, parent *x509.Certificate, pub *ecdsa.PublicKey, signer *ecdsa.PrivateKey) (*x509.Certificate, error) {
+	issuer := parent
+	if issuer == nil {
+		issuer = tmpl
+	}
+	der, err := x509.CreateCertificate(nil, tmpl, issuer, pub, signer)
+	if err != nil {
+		return nil, err
+	}
+	cert, err := x509.ParseCertificate(der)
+	if err != nil {
+		return nil, err
+	}
+	if parent == nil {
+		parent = cert
+	}
+	if signer.PublicKey.Equal(parent.PublicKey) {
+		recordSignature(parent, cert)
+	}
+	return cert, nil
+}
+
 // NewRootCA creates a self-signed root CA. Validity is expressed as years
 // around StudyEpoch.
 func NewRootCA(rng *detrand.Source, commonName, org string, validYears int) (*Authority, error) {
@@ -89,14 +118,9 @@ func NewRootCA(rng *detrand.Source, commonName, org string, validYears int) (*Au
 		KeyUsage:              x509.KeyUsageCertSign | x509.KeyUsageCRLSign,
 		BasicConstraintsValid: true,
 	}
-	//pinlint:allow detrandonly ECDSA signing is hedged-randomized by design; signature bytes never reach exported artifacts — pins hash the detrand-derived SPKI
-	der, err := x509.CreateCertificate(rand.Reader, tmpl, tmpl, &key.PublicKey, key)
+	cert, err := createCertificate(tmpl, nil, &key.PublicKey, key)
 	if err != nil {
 		return nil, fmt.Errorf("pki: create root %q: %w", commonName, err)
-	}
-	cert, err := x509.ParseCertificate(der)
-	if err != nil {
-		return nil, err
 	}
 	return &Authority{Entity: Entity{Cert: cert, Key: key}}, nil
 }
@@ -117,14 +141,9 @@ func (a *Authority) NewIntermediate(rng *detrand.Source, commonName string, vali
 		KeyUsage:              x509.KeyUsageCertSign | x509.KeyUsageCRLSign,
 		BasicConstraintsValid: true,
 	}
-	//pinlint:allow detrandonly ECDSA signing is hedged-randomized by design; signature bytes never reach exported artifacts — pins hash the detrand-derived SPKI
-	der, err := x509.CreateCertificate(rand.Reader, tmpl, a.Cert, &key.PublicKey, a.Key)
+	cert, err := createCertificate(tmpl, a.Cert, &key.PublicKey, a.Key)
 	if err != nil {
 		return nil, fmt.Errorf("pki: create intermediate %q: %w", commonName, err)
-	}
-	cert, err := x509.ParseCertificate(der)
-	if err != nil {
-		return nil, err
 	}
 	return &Authority{Entity: Entity{Cert: cert, Key: key}}, nil
 }
@@ -174,16 +193,15 @@ func (a *Authority) issueLeafWithKey(rng *detrand.Source, hostname string, key *
 	}
 	// The create step (sign, self-verify, encode, parse) is interned by TBS
 	// content: re-deriving the same world from the same seed reuses the
-	// already-issued certificate instead of minting a fresh signature over
-	// identical bytes. Key and serial were already drawn above, so a hit
-	// consumes exactly the same rng stream as a miss.
+	// already-issued certificate instead of signing identical bytes again.
+	// Key and serial were already drawn above, so a hit consumes exactly
+	// the same rng stream as a miss.
 	cert, err := internLeafCertificate(a.Cert, tmpl, &key.PublicKey, func() (*x509.Certificate, error) {
-		//pinlint:allow detrandonly ECDSA signing is hedged-randomized by design; signature bytes never reach exported artifacts — pins hash the detrand-derived SPKI
-		der, err := x509.CreateCertificate(rand.Reader, tmpl, a.Cert, &key.PublicKey, a.Key)
+		cert, err := createCertificate(tmpl, a.Cert, &key.PublicKey, a.Key)
 		if err != nil {
 			return nil, fmt.Errorf("pki: issue leaf %q: %w", hostname, err)
 		}
-		return x509.ParseCertificate(der)
+		return cert, nil
 	})
 	if err != nil {
 		return nil, err
@@ -206,14 +224,9 @@ func NewSelfSigned(rng *detrand.Source, hostname string, validYears int) (*Entit
 		DNSNames:     []string{hostname},
 		IsCA:         false,
 	}
-	//pinlint:allow detrandonly ECDSA signing is hedged-randomized by design; signature bytes never reach exported artifacts — pins hash the detrand-derived SPKI
-	der, err := x509.CreateCertificate(rand.Reader, tmpl, tmpl, &key.PublicKey, key)
+	cert, err := createCertificate(tmpl, nil, &key.PublicKey, key)
 	if err != nil {
 		return nil, fmt.Errorf("pki: self-signed %q: %w", hostname, err)
-	}
-	cert, err := x509.ParseCertificate(der)
-	if err != nil {
-		return nil, err
 	}
 	return &Entity{Cert: cert, Key: key}, nil
 }
@@ -309,20 +322,23 @@ func (rs *RootStore) Validate(chain Chain, hostname string, at time.Time) error 
 	if len(chain) == 0 {
 		return ErrEmptyChain
 	}
-	var key strings.Builder
-	sum := RawDigest(chain[0])
-	key.Write(sum[:])
-	for _, c := range chain[1:] {
-		key.WriteByte('|')
-		key.Write(c.RawSubjectPublicKeyInfo[:16])
+	// The key names every certificate of the chain by its full digest: a
+	// chain is more than its leaf, since the same leaf can arrive with a
+	// different (wrong, expired, foreign) intermediate. It is built on the
+	// stack, and a hit allocates nothing.
+	var buf [256]byte
+	key := strconv.AppendInt(buf[:0], int64(len(chain)), 10)
+	key = append(key, '|')
+	for _, c := range chain {
+		sum := RawDigest(c)
+		key = append(key, sum[:]...)
 	}
-	key.WriteByte('|')
-	key.WriteString(hostname)
-	fmt.Fprintf(&key, "|%d", at.Unix())
-	k := key.String()
+	key = append(key, hostname...)
+	key = append(key, '|')
+	key = strconv.AppendInt(key, at.Unix(), 10)
 
 	rs.vmu.RLock()
-	err, ok := rs.vcache[k]
+	err, ok := rs.vcache[string(key)]
 	rs.vmu.RUnlock()
 	if ok {
 		return err
@@ -332,7 +348,7 @@ func (rs *RootStore) Validate(chain Chain, hostname string, at time.Time) error 
 	if rs.vcache == nil {
 		rs.vcache = make(map[string]error)
 	}
-	rs.vcache[k] = err
+	rs.vcache[string(key)] = err
 	rs.vmu.Unlock()
 	return err
 }

@@ -39,6 +39,38 @@ func TestDeterministicKeys(t *testing.T) {
 	}
 }
 
+// TestCertificatesAreDeterministic: equal rng streams issue byte-equal
+// certificates on every non-interned path, signatures included, so two
+// world builds (in one process or in two) carry the same DER.
+func TestCertificatesAreDeterministic(t *testing.T) {
+	build := func() (root, inter, self []byte) {
+		rng := detrand.New(31)
+		r, err := NewRootCA(rng.Child("root"), "Det Root", "DetOrg", 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i, err := r.NewIntermediate(rng.Child("inter"), "Det Issuing CA", 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSelfSigned(rng.Child("self"), "det.example.com", 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Cert.Raw, i.Cert.Raw, s.Cert.Raw
+	}
+	r1, i1, s1 := build()
+	r2, i2, s2 := build()
+	for _, c := range []struct {
+		name string
+		a, b []byte
+	}{{"root", r1, r2}, {"intermediate", i1, i2}, {"self-signed", s1, s2}} {
+		if !bytes.Equal(c.a, c.b) {
+			t.Errorf("%s certificate DER differs between two equal-seed issuances", c.name)
+		}
+	}
+}
+
 func TestChainValidates(t *testing.T) {
 	chain, _, _, root := testChain(t, 1)
 	store := NewRootStore("test")

@@ -25,30 +25,52 @@ import (
 	"crypto/sha256"
 	"crypto/x509"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // sigMemo caches signature-check outcomes keyed by the raw digests of
 // (parent, child). Content-addressed, so entries can never go stale; it
 // grows with the number of distinct certificates seen by the process.
+// Issuance seeds it (recordSignature): every certificate this process
+// signs enters as a verified link, so validating a chain the world or the
+// MITM proxy issued runs no ECDSA verify at all. A certificate signed
+// elsewhere, or altered after issuance, has other bytes and misses.
 var sigMemo sync.Map // [2*sha256.Size]byte -> error (nil stored as nilError)
 
 // nilError is the sentinel for a cached successful check (sync.Map can
 // store nil values, but a typed sentinel keeps the Load site unambiguous).
 var nilError = struct{}{}
 
-// checkSigCached verifies that parent's key signed child, memoized.
-func checkSigCached(parent, child *x509.Certificate) error {
+// sigVerifies counts the signature checks that missed the memo and ran
+// the real verification; tests read it to prove the seeding works.
+var sigVerifies atomic.Int64
+
+// sigMemoKey is the memo key of the (parent, child) link.
+func sigMemoKey(parent, child *x509.Certificate) [2 * sha256.Size]byte {
 	var key [2 * sha256.Size]byte
 	p, c := RawDigest(parent), RawDigest(child)
 	copy(key[:], p[:])
 	copy(key[sha256.Size:], c[:])
+	return key
+}
+
+// recordSignature enters the link as verified. Call it only for a
+// signature already checked against parent's public key.
+func recordSignature(parent, child *x509.Certificate) {
+	sigMemo.Store(sigMemoKey(parent, child), nilError)
+}
+
+// checkSigCached verifies that parent's key signed child, memoized.
+func checkSigCached(parent, child *x509.Certificate) error {
+	key := sigMemoKey(parent, child)
 	if v, ok := sigMemo.Load(key); ok {
 		if v == nilError {
 			return nil
 		}
 		return v.(error)
 	}
+	sigVerifies.Add(1)
 	err := parent.CheckSignature(child.SignatureAlgorithm, child.RawTBSCertificate, child.Signature)
 	if err == nil {
 		sigMemo.Store(key, nilError)

@@ -202,3 +202,135 @@ func TestSignatureMemoDetectsRogueIssuer(t *testing.T) {
 	}
 	agree(t, "rogue issuer", Chain{forged.Cert}, store, "memo.example.com", StudyEpoch)
 }
+
+// TestIssuanceSeedsSignatureMemo: every link this process signed is
+// validated from the memo, with no ECDSA verify, in plain and
+// MITM-trusting stores alike; a link it did not sign still runs the real
+// check and fails.
+func TestIssuanceSeedsSignatureMemo(t *testing.T) {
+	rng := detrand.New(4242)
+	root, err := NewRootCA(rng.Child("root"), "Seed Root", "SeedOrg", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inter, err := root.NewIntermediate(rng.Child("inter"), "Seed Issuing CA", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf, err := inter.IssueLeaf(rng.Child("leaf"), "seed.example.com", LeafOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mitmCA, err := NewRootCA(rng.Child("mitm"), "Seed MITM CA", "mitmproxy", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged, err := mitmCA.IssueLeaf(rng.Child("forge"), "seed.example.com", LeafOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := NewRootStore("seed-plain")
+	plain.Add(root.Cert)
+	mitmStore := plain.Clone("seed-mitm")
+	mitmStore.Add(mitmCA.Cert)
+
+	before := sigVerifies.Load()
+	for _, c := range []struct {
+		label string
+		chain Chain
+		store *RootStore
+		ok    bool
+	}{
+		{"ecosystem chain, plain store", Chain{leaf.Cert, inter.Cert}, plain, true},
+		{"ecosystem chain, MITM store", Chain{leaf.Cert, inter.Cert, root.Cert}, mitmStore, true},
+		{"forged chain, MITM store", Chain{forged.Cert, mitmCA.Cert}, mitmStore, true},
+		{"forged chain, plain store", Chain{forged.Cert, mitmCA.Cert}, plain, false},
+	} {
+		if err := c.store.Validate(c.chain, "seed.example.com", StudyEpoch); (err == nil) != c.ok {
+			t.Fatalf("%s: Validate = %v, want ok=%v", c.label, err, c.ok)
+		}
+		agree(t, c.label, c.chain, c.store, "seed.example.com", StudyEpoch)
+	}
+	if n := sigVerifies.Load() - before; n != 0 {
+		t.Fatalf("validating chains this process issued ran %d signature verifications, want 0", n)
+	}
+
+	// A flipped signature byte makes a certificate with other bytes: it
+	// misses the memo, is verified, and fails. Issuance is deterministic,
+	// so an earlier run of this test in the process (-count) left the same
+	// link in the memo; forget it first.
+	der := append([]byte(nil), leaf.Cert.Raw...)
+	der[len(der)-1] ^= 0x01
+	tampered, err := x509.ParseCertificate(der)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sigMemo.Delete(sigMemoKey(inter.Cert, tampered))
+	before = sigVerifies.Load()
+	if err := plain.Validate(Chain{tampered, inter.Cert}, "seed.example.com", StudyEpoch); err == nil {
+		t.Fatal("leaf with a flipped signature byte validated")
+	}
+	if sigVerifies.Load() == before {
+		t.Fatal("tampered leaf was not verified")
+	}
+
+	// A leaf signed by another CA of the same subject name, presented
+	// under the genuine intermediate: the memo knows the leaf only under
+	// its real signer, so this link is verified and fails.
+	rogue, err := NewRootCA(rng.Child("rogue"), "Seed Rogue Root", "SeedOrg", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rogueInter, err := rogue.NewIntermediate(rng.Child("rogue-inter"), "Seed Issuing CA", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rogueInter.Cert.RawSubject, inter.Cert.RawSubject) {
+		t.Fatal("rogue intermediate subject does not mirror the genuine one")
+	}
+	rogueLeaf, err := rogueInter.IssueLeaf(rng.Child("rogue-leaf"), "seed.example.com", LeafOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sigMemo.Delete(sigMemoKey(inter.Cert, rogueLeaf.Cert))
+	before = sigVerifies.Load()
+	if err := plain.Validate(Chain{rogueLeaf.Cert, inter.Cert}, "seed.example.com", StudyEpoch); err == nil {
+		t.Fatal("leaf of a same-name rogue CA validated under the genuine intermediate")
+	}
+	if sigVerifies.Load() == before {
+		t.Fatal("rogue leaf was not verified")
+	}
+}
+
+// TestRootStoreValidateKeysWholeChain: the validation cache tells chains
+// apart by every certificate, not only the leaf, so a leaf that validated
+// with its issuer does not validate when sent with another CA's
+// certificate in its place.
+func TestRootStoreValidateKeysWholeChain(t *testing.T) {
+	rng := detrand.New(4343)
+	root, err := NewRootCA(rng.Child("root"), "Key Root", "KeyOrg", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inter, err := root.NewIntermediate(rng.Child("inter"), "Key Issuing CA", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := root.NewIntermediate(rng.Child("other"), "Key Other CA", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf, err := inter.IssueLeaf(rng.Child("leaf"), "key.example.com", LeafOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := NewRootStore("key")
+	store.Add(root.Cert)
+	if err := store.Validate(Chain{leaf.Cert, inter.Cert}, "key.example.com", StudyEpoch); err != nil {
+		t.Fatalf("genuine chain rejected: %v", err)
+	}
+	if err := store.Validate(Chain{leaf.Cert, other.Cert}, "key.example.com", StudyEpoch); err == nil {
+		t.Fatal("leaf validated without its issuer: the cache answered for another chain")
+	}
+	agree(t, "leaf without its issuer", Chain{leaf.Cert, other.Cert}, store, "key.example.com", StudyEpoch)
+}

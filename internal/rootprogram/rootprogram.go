@@ -30,10 +30,10 @@ import (
 // SubjectPublicKeyInfo — the key under which root programs track adds,
 // removes and distrust events (certigo antitrust-style, but over the SPKI
 // like HPKP pins). The SPKI is derived from detrand, so fingerprints are
-// stable across same-seed world rebuilds; whole-cert DER is not (ECDSA
-// signatures are hedged-randomized), and a fingerprint that changed on
-// every process restart would break journal resume and distrust queries
-// against previously exported snapshots.
+// stable across same-seed world rebuilds and survive a root's re-signing
+// under the same key, which whole-cert DER does not; a fingerprint that
+// changed with a re-signing would break journal resume and distrust
+// queries against previously exported snapshots.
 func Fingerprint(cert *x509.Certificate) string {
 	sum := sha256.Sum256(cert.RawSubjectPublicKeyInfo)
 	return hex.EncodeToString(sum[:])

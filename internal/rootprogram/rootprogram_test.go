@@ -185,8 +185,7 @@ func TestTimelineDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Whole-cert digests vary across rebuilds (hedged ECDSA signatures),
-		// but the SPKI fingerprint sets — everything the timeline keys on —
+		// The SPKI fingerprint sets — everything the timeline keys on —
 		// must reproduce exactly.
 		if fpSet(a1) != fpSet(a2) || fpSet(i1) != fpSet(i2) {
 			t.Fatalf("point %q: store fingerprint sets differ across identical seeds", p1[i].Tag)

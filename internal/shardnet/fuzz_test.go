@@ -2,8 +2,10 @@ package shardnet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -18,6 +20,27 @@ type byteConn struct {
 
 func (c *byteConn) Read(p []byte) (int, error)      { return c.r.Read(p) }
 func (c *byteConn) SetReadDeadline(time.Time) error { return nil }
+
+// TestRecvAllocatesOnlyWhatArrives: a header claiming MaxWireFrame
+// followed by a short body and a hang-up must cost the receiver about the
+// bytes that arrived, not the 64 MiB the header claimed.
+func TestRecvAllocatesOnlyWhatArrives(t *testing.T) {
+	wire := make([]byte, wireHeaderSize, wireHeaderSize+100)
+	binary.LittleEndian.PutUint32(wire[0:4], MaxWireFrame)
+	wire = append(wire, bytes.Repeat([]byte{0x5a}, 100)...)
+	tc := newTCPConn(&byteConn{r: bytes.NewReader(wire)}, TCPOptions{})
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := tc.Recv(0)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrClosed) {
+		t.Fatalf("Recv after a truncated frame: %v, want ErrClosed", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("Recv allocated %d bytes for a frame that delivered 100", d)
+	}
+}
 
 // FuzzFrameDecode feeds arbitrary bytes to the TCP framing and the
 // payload decoders, the first code a remote peer's bytes reach. Whatever

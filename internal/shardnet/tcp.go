@@ -38,6 +38,10 @@ const (
 	// journal.MaxFrame: a corrupt length field must not provoke a giant
 	// allocation.
 	MaxWireFrame = 64 << 20
+
+	// firstRecvChunk is the most Recv allocates for a frame body before
+	// any of it has arrived; the buffer then doubles as bytes come in.
+	firstRecvChunk = 64 << 10
 )
 
 var wireCastagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -259,13 +263,24 @@ func (t *tcpConn) Recv(wait int64) (Frame, error) {
 	if length < 1 || length > MaxWireFrame {
 		return Frame{}, ErrClosed
 	}
-	if int64(cap(t.rbuf)) < length {
-		t.rbuf = make([]byte, length)
+	// The header's length is a claim, not a fact: the body buffer grows
+	// only as bytes arrive, so a peer that announces MaxWireFrame and
+	// hangs up costs a small allocation, not the claimed 64 MiB.
+	size := int(length)
+	body := t.rbuf[:0]
+	for len(body) < size {
+		if len(body) == cap(body) {
+			grown := make([]byte, len(body), min(max(2*cap(body), firstRecvChunk), size))
+			copy(grown, body)
+			body = grown
+		}
+		n, err := io.ReadFull(t.c, body[len(body):min(cap(body), size)])
+		body = body[:len(body)+n]
+		if err != nil {
+			return Frame{}, ErrClosed
+		}
 	}
-	body := t.rbuf[:length]
-	if _, err := io.ReadFull(t.c, body); err != nil {
-		return Frame{}, ErrClosed
-	}
+	t.rbuf = body
 	if crc32.Checksum(body, wireCastagnoli) != wantCRC {
 		return Frame{}, ErrClosed
 	}

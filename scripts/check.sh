@@ -5,8 +5,9 @@
 # race-detector pass over the whole tree (minus the slowest
 # fault-injection e2e sweeps), a race-checked shard-fleet smoke over both
 # shard transports, a longitudinal kill/resume smoke, a cross-process
-# shard merge smoke, a one-iteration benchmark smoke, and short fuzz
-# smokes over journal recovery and the shard wire decoder.
+# shard merge smoke, a cross-process journal identity smoke, a
+# one-iteration benchmark smoke, and short fuzz smokes over journal
+# recovery and the shard wire decoder.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -113,6 +114,17 @@ go run ./cmd/pinstudy -scale mini -shards 3 -journal "$tldir/shards" > /dev/null
 go run ./cmd/pinstudy -scale mini -shards 3 -journal "$tldir/shards" -merge -export "$tldir/merged.json" > /dev/null
 go run ./cmd/pinstudy -scale mini -export "$tldir/single.json" > /dev/null
 cmp "$tldir/single.json" "$tldir/merged.json"
+
+# Cross-process journal identity smoke: the same sharded run in two
+# processes, each building its own world, must journal identical bytes —
+# the cross-process form of DESIGN.md §8 step 1. Certificate signatures
+# are deterministic (RFC 6979), so even the DER a record carries agrees.
+echo "==> cross-process journal identity smoke (two processes, cmp every slice WAL)"
+go run ./cmd/pinstudy -scale mini -shards 3 -journal "$tldir/ja" > /dev/null
+go run ./cmd/pinstudy -scale mini -shards 3 -journal "$tldir/jb" > /dev/null
+for wal in "$tldir"/ja/shard-*.wal; do
+    cmp "$wal" "$tldir/jb/$(basename "$wal")"
+done
 
 # One iteration of every benchmark: proves the suite (including the
 # crypto-plane trajectory benches) still runs; numbers are discarded.
