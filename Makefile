@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint lint-baseline check bench chaos export serve resume-demo shard-demo timeline-demo
+.PHONY: build test lint check bench chaos export serve resume-demo shard-demo timeline-demo
 
 build:
 	$(GO) build ./...
@@ -8,21 +8,17 @@ build:
 test:
 	$(GO) test ./...
 
-# lint runs pinlint, the repo's custom invariant suite (see DESIGN.md
-# "Invariants" and "Static analysis engine"): determinism in simulation
-# packages, map-order escapes, snapshot export shape, the serving layer's
-# atomic swap discipline, goroutine lifetimes, lock safety, journal
-# discipline, detrand label lineage, and dropped write-path errors.
+# lint runs pinlint, the repo's custom invariant suite (see DESIGN.md §6
+# "Invariants" and §10 "Static analysis engine"), over every package; any
+# finding fails. Its eleven analyzers: detrandonly (no ambient entropy or
+# wall clock), mapdeterminism (map-order escapes), exportshape (snapshot
+# JSON shape), atomicswap (the serving layer's snapshot swap), atomicwrite
+# (artifact writes via atomicio), pkiissuance (keys only from pki),
+# goroutinelifetime, locksafety, journaldiscipline (WAL bytes, fsync
+# before rename, meta before resume), detrandflow (distinct child labels)
+# and errdrop (dropped write-path errors).
 lint:
 	$(GO) run ./cmd/pinlint ./...
-
-# lint-baseline regenerates lint_baseline.json, the accepted-findings
-# snapshot scripts/lint_diff.sh diffs against: CI fails only on findings
-# not in the baseline. Run after deliberately fixing or accepting
-# findings, and commit the result — the baseline diff is the reviewable
-# record of what changed.
-lint-baseline:
-	$(GO) run ./cmd/pinlint -write-baseline lint_baseline.json ./...
 
 # check is the full health gate: gofmt + build + explicit vet pass list +
 # pinlint + shuffled tests + race pass over the concurrent packages. CI

@@ -1,69 +1,28 @@
 // Command pinlint runs pinscope's custom static-analysis suite — the
 // determinism, export-shape, concurrency and durability invariants the
 // simulation and serving layers depend on — over the packages matching
-// its arguments.
+// its arguments (default ./...).
 //
-//	pinlint ./...                      # whole tree (what scripts/check.sh runs)
-//	pinlint -list                      # describe the analyzers
-//	pinlint -only detrandonly ./internal/core
-//	pinlint -json ./...                # machine-readable findings
-//	pinlint -baseline lint_baseline.json ./...        # fail only on NEW findings
-//	pinlint -write-baseline lint_baseline.json ./...  # accept current findings
+//	pinlint ./...    # whole tree (what scripts/check.sh runs)
+//	pinlint -list    # describe the analyzers
 //
 // Findings print as file:line:col and the exit status is 1 when any
-// remain after //pinlint:allow suppression. In -baseline mode the exit
-// status reflects only findings not present in the baseline file, so CI
-// stays green across legacy findings while new ones still break; the
-// baseline keys on analyzer+file+message (not line numbers), so findings
-// do not churn when unrelated edits move code. See DESIGN.md "Static
-// analysis engine".
+// remain after //pinlint:allow suppression, 2 when the packages cannot be
+// loaded. See DESIGN.md §6 and §10.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
 
-	"pinscope/internal/atomicio"
 	"pinscope/internal/lint"
 )
 
-// jsonDiag is the machine-readable rendering of one finding.
-type jsonDiag struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
-}
-
-// baselineEntry is one accepted finding. Line numbers are deliberately
-// absent: the identity is analyzer+file+message, with a count so N
-// identical findings in one file stay distinguishable from N+1.
-type baselineEntry struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Message  string `json:"message"`
-	Count    int    `json:"count"`
-}
-
-// baselineFile is the checked-in accepted-findings snapshot.
-type baselineFile struct {
-	Version  int             `json:"version"`
-	Findings []baselineEntry `json:"findings"`
-}
-
 func main() {
 	listFlag := flag.Bool("list", false, "list analyzers and exit")
-	onlyFlag := flag.String("only", "", "comma-separated analyzer names to run (default all)")
-	jsonFlag := flag.Bool("json", false, "print findings as JSON")
-	baselineFlag := flag.String("baseline", "", "baseline file: fail only on findings not present in it")
-	writeBaselineFlag := flag.String("write-baseline", "", "write current findings to this baseline file and exit 0")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: pinlint [-list] [-only a,b] [-json] [-baseline file | -write-baseline file] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: pinlint [-list] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -75,27 +34,6 @@ func main() {
 		}
 		return
 	}
-	if *baselineFlag != "" && *writeBaselineFlag != "" {
-		fmt.Fprintln(os.Stderr, "pinlint: -baseline and -write-baseline are mutually exclusive")
-		os.Exit(2)
-	}
-
-	analyzers := suite
-	if *onlyFlag != "" {
-		byName := map[string]*lint.Analyzer{}
-		for _, a := range suite {
-			byName[a.Name] = a
-		}
-		analyzers = nil
-		for _, name := range strings.Split(*onlyFlag, ",") {
-			a, ok := byName[strings.TrimSpace(name)]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "pinlint: unknown analyzer %q (try -list)\n", name)
-				os.Exit(2)
-			}
-			analyzers = append(analyzers, a)
-		}
-	}
 
 	patterns := flag.Args()
 	if len(patterns) == 0 {
@@ -106,139 +44,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pinlint:", err)
 		os.Exit(2)
 	}
-	diags, err := lint.Run(wd, patterns, analyzers)
+	diags, err := lint.Run(wd, patterns, suite)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pinlint:", err)
 		os.Exit(2)
 	}
-
-	if *writeBaselineFlag != "" {
-		if err := writeBaseline(*writeBaselineFlag, wd, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "pinlint:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "pinlint: wrote %d finding(s) to %s\n", len(diags), *writeBaselineFlag)
-		return
-	}
-	if *baselineFlag != "" {
-		var stale int
-		diags, stale, err = subtractBaseline(*baselineFlag, wd, diags)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pinlint:", err)
-			os.Exit(2)
-		}
-		if stale > 0 {
-			fmt.Fprintf(os.Stderr, "pinlint: %d baselined finding(s) no longer occur; regenerate with make lint-baseline\n", stale)
-		}
-	}
-
-	if *jsonFlag {
-		out := make([]jsonDiag, 0, len(diags))
-		for _, d := range diags {
-			out = append(out, jsonDiag{
-				Analyzer: d.Analyzer,
-				File:     relTo(wd, d.Position.Filename),
-				Line:     d.Position.Line,
-				Col:      d.Position.Column,
-				Message:  d.Message,
-			})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "pinlint:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d.String())
-		}
+	for _, d := range diags {
+		fmt.Println(d.String())
 	}
 	if len(diags) > 0 {
-		what := "finding(s)"
-		if *baselineFlag != "" {
-			what = "new finding(s) not in baseline"
-		}
-		fmt.Fprintf(os.Stderr, "pinlint: %d %s\n", len(diags), what)
+		fmt.Fprintf(os.Stderr, "pinlint: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
-}
-
-// relTo renders path relative to base when possible, so baselines and
-// JSON output are stable across checkouts.
-func relTo(base, path string) string {
-	if rel, err := filepath.Rel(base, path); err == nil && !strings.HasPrefix(rel, "..") {
-		return filepath.ToSlash(rel)
-	}
-	return filepath.ToSlash(path)
-}
-
-// baselineKey is the line-insensitive identity of a finding.
-func baselineKey(analyzer, file, message string) string {
-	return analyzer + "\x00" + file + "\x00" + message
-}
-
-// writeBaseline snapshots diags as the accepted-findings multiset. The
-// write goes through atomicio so an interrupted run cannot leave a torn
-// baseline behind.
-func writeBaseline(path, wd string, diags []lint.Diagnostic) error {
-	counts := map[string]*baselineEntry{}
-	var order []string
-	for _, d := range diags {
-		key := baselineKey(d.Analyzer, relTo(wd, d.Position.Filename), d.Message)
-		if e, ok := counts[key]; ok {
-			e.Count++
-			continue
-		}
-		counts[key] = &baselineEntry{
-			Analyzer: d.Analyzer,
-			File:     relTo(wd, d.Position.Filename),
-			Message:  d.Message,
-			Count:    1,
-		}
-		order = append(order, key) // diags arrive position-sorted: order is stable
-	}
-	bf := baselineFile{Version: 1, Findings: []baselineEntry{}}
-	for _, key := range order {
-		bf.Findings = append(bf.Findings, *counts[key])
-	}
-	data, err := json.MarshalIndent(&bf, "", "  ")
-	if err != nil {
-		return err
-	}
-	return atomicio.WriteFile(path, append(data, '\n'))
-}
-
-// subtractBaseline removes baselined findings from diags, returning the
-// new findings and the count of baselined entries that no longer occur.
-func subtractBaseline(path, wd string, diags []lint.Diagnostic) ([]lint.Diagnostic, int, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	var bf baselineFile
-	if err := json.Unmarshal(data, &bf); err != nil {
-		return nil, 0, fmt.Errorf("parsing baseline %s: %v", path, err)
-	}
-	if bf.Version != 1 {
-		return nil, 0, fmt.Errorf("baseline %s has unsupported version %d", path, bf.Version)
-	}
-	budget := map[string]int{}
-	for _, e := range bf.Findings {
-		budget[baselineKey(e.Analyzer, e.File, e.Message)] += e.Count
-	}
-	var fresh []lint.Diagnostic
-	for _, d := range diags {
-		key := baselineKey(d.Analyzer, relTo(wd, d.Position.Filename), d.Message)
-		if budget[key] > 0 {
-			budget[key]--
-			continue
-		}
-		fresh = append(fresh, d)
-	}
-	stale := 0
-	for _, n := range budget {
-		stale += n
-	}
-	return fresh, stale, nil
 }

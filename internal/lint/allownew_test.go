@@ -12,14 +12,11 @@ import (
 // bare directive or a misspelled analyzer name is itself a pinlint
 // finding and suppresses nothing.
 func TestAllowGrammarNewAnalyzers(t *testing.T) {
-	cfg := &lint.Config{
-		LockSafetyPackages: []string{"example.com/allownew"},
-	}
 	pkg, fset, err := lint.LoadDir("testdata/allownew", "example.com/allownew")
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := lint.AnalyzePackage(fset, pkg, []*lint.Analyzer{lint.NewLockSafety(cfg)})
+	diags, err := lint.AnalyzePackage(fset, pkg, []*lint.Analyzer{lint.NewLockSafety()})
 	if err != nil {
 		t.Fatal(err)
 	}

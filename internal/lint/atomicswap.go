@@ -15,6 +15,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 )
 
 // atomicMutators replace the pointer; atomicLoads read it.
@@ -28,7 +29,7 @@ func NewAtomicSwap(cfg *Config) *Analyzer {
 			"and Store/Swap only inside the designated swap function",
 	}
 	a.Run = func(pass *Pass) error {
-		if !matchPkg(cfg.AtomicSwapPackages, pass.PkgPath) {
+		if _, ok := cfg.SwapFuncs[pass.PkgPath]; !ok {
 			return nil
 		}
 		for _, file := range pass.Files {
@@ -47,7 +48,7 @@ func NewAtomicSwap(cfg *Config) *Analyzer {
 
 func checkFunc(pass *Pass, cfg *Config, fd *ast.FuncDecl) {
 	fname := funcDisplayName(fd)
-	isSwapFunc := allowedFunc(cfg.SwapFuncs, pass.PkgPath, fname)
+	isSwapFunc := slices.Contains(cfg.SwapFuncs[pass.PkgPath], fname)
 	loads := map[string]int{} // rendered receiver expr -> loads seen
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {

@@ -9,7 +9,6 @@ import (
 
 func TestAtomicSwap(t *testing.T) {
 	cfg := &lint.Config{
-		AtomicSwapPackages: []string{"example.com/aswap"},
 		SwapFuncs: map[string][]string{
 			"example.com/aswap": {"Cache.swap"},
 		},

@@ -18,8 +18,8 @@ package lint
 //     derives the same child every iteration — use ChildN with the index
 //     or fold a per-iteration component into the label.
 //
-// The detrand package itself is exempt (ChildN builds Child labels from a
-// parameter by design).
+// The detrand package itself is exempt as the analyzer's Config.Owners
+// entry (ChildN builds Child labels from a parameter by design).
 
 import (
 	"go/ast"
@@ -36,23 +36,10 @@ func NewDetrandFlow(cfg *Config) *Analyzer {
 			"loop-invariant re-derivation",
 	}
 	a.Run = func(pass *Pass) error {
-		if !matchPkg(cfg.DetrandFlowPackages, pass.PkgPath) ||
-			matchPkg(cfg.DetrandFlowExempt, pass.PkgPath) {
+		if pass.owns(cfg) {
 			return nil
 		}
-		for _, file := range pass.Files {
-			for _, decl := range file.Decls {
-				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-					checkDetrandFlow(pass, cfg, fd.Body)
-				}
-			}
-			ast.Inspect(file, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					checkDetrandFlow(pass, cfg, lit.Body)
-				}
-				return true
-			})
-		}
+		forEachBody(pass, func(body *ast.BlockStmt) { checkDetrandFlow(pass, body) })
 		return nil
 	}
 	return a
@@ -67,7 +54,7 @@ type childCall struct {
 }
 
 // checkDetrandFlow applies the three rules to one function body.
-func checkDetrandFlow(pass *Pass, cfg *Config, body *ast.BlockStmt) {
+func checkDetrandFlow(pass *Pass, body *ast.BlockStmt) {
 	var calls []childCall
 	var loops []ast.Stmt
 	var walk func(n ast.Node)
@@ -87,7 +74,7 @@ func checkDetrandFlow(pass *Pass, cfg *Config, body *ast.BlockStmt) {
 				loops = loops[:len(loops)-1]
 				return false
 			case *ast.CallExpr:
-				if method, recv, ok := childCallOf(pass.Info, cfg, m); ok {
+				if method, recv, ok := childCallOf(pass.Info, m); ok {
 					var loop ast.Stmt
 					if len(loops) > 0 {
 						loop = loops[len(loops)-1]
@@ -183,7 +170,7 @@ func checkDetrandFlow(pass *Pass, cfg *Config, body *ast.BlockStmt) {
 }
 
 // childCallOf reports whether call is Child/ChildN on a detrand source.
-func childCallOf(info *types.Info, cfg *Config, call *ast.CallExpr) (string, ast.Expr, bool) {
+func childCallOf(info *types.Info, call *ast.CallExpr) (string, ast.Expr, bool) {
 	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || len(call.Args) == 0 {
 		return "", nil, false
@@ -199,7 +186,7 @@ func childCallOf(info *types.Info, cfg *Config, call *ast.CallExpr) (string, ast
 	if !ok || sig.Recv() == nil {
 		return "", nil, false
 	}
-	if !typeMatchesAny(sig.Recv().Type(), cfg.DetrandSourceTypes) {
+	if !isNamed(sig.Recv().Type(), detrandPkg, "Source") {
 		return "", nil, false
 	}
 	return sel.Sel.Name, sel.X, true
@@ -244,23 +231,15 @@ func objOf(info *types.Info, id *ast.Ident) types.Object {
 	return info.Defs[id]
 }
 
-// typeMatchesAny reports whether t (possibly behind a pointer) is one of
-// the named types in refs.
-func typeMatchesAny(t types.Type, refs []TypeRef) bool {
+// isNamed reports whether t, possibly behind a pointer, is the named type
+// pkg.name.
+func isNamed(t types.Type, pkg, name string) bool {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
 	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	pkg, name := named.Obj().Pkg().Path(), named.Obj().Name()
-	for _, r := range refs {
-		if r.Pkg == pkg && r.Name == name {
-			return true
-		}
-	}
-	return false
+	return ok && named.Obj().Pkg() != nil &&
+		named.Obj().Pkg().Path() == pkg && named.Obj().Name() == name
 }
 
 // enclosingParams finds the parameter lists of the function whose body this

@@ -8,30 +8,11 @@ import (
 )
 
 func TestDetrandFlow(t *testing.T) {
-	cfg := &lint.Config{
-		DetrandFlowPackages: []string{"example.com/dflow"},
-		DetrandSourceTypes:  []lint.TypeRef{{Pkg: "pinscope/internal/detrand", Name: "Source"}},
-	}
-	linttest.Run(t, "testdata/detrandflow", "example.com/dflow", lint.NewDetrandFlow(cfg))
+	linttest.Run(t, "testdata/detrandflow", "example.com/dflow", lint.NewDetrandFlow(&lint.Config{}))
 }
 
+// TestDetrandFlowExemptPackage: the detrand implementation, as the
+// analyzer's owner, builds labels from parameters by design.
 func TestDetrandFlowExemptPackage(t *testing.T) {
-	// The detrand implementation itself builds labels from parameters by
-	// design; under an exempted import path the fixture yields nothing.
-	cfg := &lint.Config{
-		DetrandFlowPackages: []string{"example.com/..."},
-		DetrandFlowExempt:   []string{"example.com/dflow"},
-		DetrandSourceTypes:  []lint.TypeRef{{Pkg: "pinscope/internal/detrand", Name: "Source"}},
-	}
-	pkg, fset, err := lint.LoadDir("testdata/detrandflow", "example.com/dflow")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := lint.AnalyzePackage(fset, pkg, []*lint.Analyzer{lint.NewDetrandFlow(cfg)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 0 {
-		t.Fatalf("exempt package still flagged: %v", diags)
-	}
+	checkOwnerExempt(t, lint.NewDetrandFlow, "testdata/detrandflow", "example.com/dflow")
 }

@@ -8,9 +8,8 @@ package lint
 //
 // Watched receivers: *os.File handles opened for writing (decided by
 // reaching definitions — handles from os.Open are read-only and exempt,
-// handles of unknown provenance stay silent), *bufio.Writer, and the
-// configured write-handle types (journal.Writer). Types in
-// ErrDropExemptTypes are skipped (atomicio.Writer's post-Commit Close is a
+// handles of unknown provenance stay silent), *bufio.Writer and
+// *journal.Writer. atomicio.Writer is skipped (its post-Commit Close is a
 // documented no-op). Two idioms are deliberately permitted: an explicit
 // discard (`_ = f.Close()`) documents intent, and a drop inside a
 // cleanup-on-error path — a statement list that goes on to return an
@@ -24,19 +23,16 @@ import (
 // errDropMethods are the checked method names.
 var errDropMethods = map[string]bool{"Close": true, "Sync": true, "Flush": true}
 
-// NewErrDrop builds the errdrop analyzer over cfg.
-func NewErrDrop(cfg *Config) *Analyzer {
+// NewErrDrop builds the errdrop analyzer.
+func NewErrDrop() *Analyzer {
 	a := &Analyzer{
 		Name: "errdrop",
 		Doc: "Close/Sync/Flush errors on write paths must be checked: dropped ones " +
 			"silently lose buffered bytes or durability",
 	}
 	a.Run = func(pass *Pass) error {
-		if !matchPkg(cfg.ErrDropPackages, pass.PkgPath) {
-			return nil
-		}
 		for _, file := range pass.Files {
-			checkErrDrop(pass, cfg, file)
+			checkErrDrop(pass, file)
 		}
 		return nil
 	}
@@ -44,7 +40,7 @@ func NewErrDrop(cfg *Config) *Analyzer {
 }
 
 // checkErrDrop scans one file's statement lists for dropped calls.
-func checkErrDrop(pass *Pass, cfg *Config, file *ast.File) {
+func checkErrDrop(pass *Pass, file *ast.File) {
 	// Per-function CFG + reaching defs, built lazily for os.File receivers.
 	type fnState struct {
 		cfg *CFG
@@ -127,16 +123,14 @@ func checkErrDrop(pass *Pass, cfg *Config, file *ast.File) {
 				continue
 			}
 			recvType := sig.Recv().Type()
-			if typeMatchesAny(recvType, cfg.ErrDropExemptTypes) {
+			if isNamed(recvType, atomicioPkg, "Writer") {
 				continue
 			}
 			watched := false
 			switch {
-			case typeMatchesAny(recvType, cfg.ErrDropCloserTypes):
+			case isNamed(recvType, journalPkg, "Writer"), isNamed(recvType, "bufio", "Writer"):
 				watched = true
-			case typeMatchesAny(recvType, []TypeRef{{Pkg: "bufio", Name: "Writer"}}):
-				watched = true
-			case typeMatchesAny(recvType, []TypeRef{{Pkg: "os", Name: "File"}}):
+			case isNamed(recvType, "os", "File"):
 				watched = writeOpenedFile(sel.X, es)
 			}
 			if !watched {

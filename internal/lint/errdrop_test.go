@@ -8,10 +8,5 @@ import (
 )
 
 func TestErrDrop(t *testing.T) {
-	cfg := &lint.Config{
-		ErrDropPackages:    []string{"example.com/edrop"},
-		ErrDropCloserTypes: []lint.TypeRef{{Pkg: "pinscope/internal/journal", Name: "Writer"}},
-		ErrDropExemptTypes: []lint.TypeRef{{Pkg: "pinscope/internal/atomicio", Name: "Writer"}},
-	}
-	linttest.Run(t, "testdata/errdrop", "example.com/edrop", lint.NewErrDrop(cfg))
+	linttest.Run(t, "testdata/errdrop", "example.com/edrop", lint.NewErrDrop())
 }

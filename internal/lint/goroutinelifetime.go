@@ -23,17 +23,14 @@ import (
 	"go/types"
 )
 
-// NewGoroutineLifetime builds the goroutinelifetime analyzer over cfg.
-func NewGoroutineLifetime(cfg *Config) *Analyzer {
+// NewGoroutineLifetime builds the goroutinelifetime analyzer.
+func NewGoroutineLifetime() *Analyzer {
 	a := &Analyzer{
 		Name: "goroutinelifetime",
 		Doc: "every go statement must reach a completion signal (WaitGroup.Done, " +
 			"channel send/close/receive, ctx done) on all paths, so goroutines cannot leak",
 	}
 	a.Run = func(pass *Pass) error {
-		if !matchPkg(cfg.GoroutineLifetimePackages, pass.PkgPath) {
-			return nil
-		}
 		graph := BuildCallGraph(pass.Files, pass.Info)
 		// marked: functions that contain a completion signal directly or
 		// reach one through an intra-package call (any edge kind).

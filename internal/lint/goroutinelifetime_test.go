@@ -8,8 +8,5 @@ import (
 )
 
 func TestGoroutineLifetime(t *testing.T) {
-	cfg := &lint.Config{
-		GoroutineLifetimePackages: []string{"example.com/golife"},
-	}
-	linttest.Run(t, "testdata/goroutinelifetime", "example.com/golife", lint.NewGoroutineLifetime(cfg))
+	linttest.Run(t, "testdata/goroutinelifetime", "example.com/golife", lint.NewGoroutineLifetime())
 }

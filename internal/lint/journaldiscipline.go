@@ -17,22 +17,28 @@ package lint
 //     journal's Meta, the strict-config gate that keeps a foreign run's WAL
 //     from being appended to.
 //
-// Rules 2 and 3 are path-sensitive (CFG + HitsBefore); rule 1 is a plain
-// reference scan. The journal implementation package itself is exempt.
+// Rules 2 and 3 are path-sensitive (CFG + HitsBefore); rule 1 is the
+// reference-ban scan of refban.go plus a literal match on the magic. The
+// journal implementation package (its Config.Owners entry) is exempt.
 
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
+	"slices"
 	"strings"
 )
 
-// restrictedJournalFuncs are the WAL-writer constructors of rule 1; the
-// map value documents what each one hands out.
-var restrictedJournalFuncs = map[string]string{
-	"Create":       "a fresh WAL writer",
-	"ResumeWriter": "an append handle to a recovered WAL",
-	"AppendTo":     "an append handle to a recovered WAL",
+// walWriterBans are rule 1's WAL-writer constructors, banned outside the
+// designated writer packages.
+var walWriterBans = banTable{
+	{journalPkg, "Create"}:       "hands out a fresh WAL writer",
+	{journalPkg, "ResumeWriter"}: "hands out an append handle to a recovered WAL",
+	{journalPkg, "AppendTo"}:     "hands out an append handle to a recovered WAL",
+}
+
+// appendBans is rule 1's ban on appending outside the journal package.
+var appendBans = banTable{
+	{"os", "O_APPEND"}: "outside the journal package; appending to artifacts bypasses the WAL's framing and recovery",
 }
 
 // metaCheckedJournalFuncs are the rule-3 resume entry points.
@@ -49,75 +55,32 @@ func NewJournalDiscipline(cfg *Config) *Analyzer {
 			"paths, and strict meta checks before resuming a recovered journal",
 	}
 	a.Run = func(pass *Pass) error {
-		if !matchPkg(cfg.JournalPackages, pass.PkgPath) || pass.PkgPath == cfg.JournalImplPackage {
+		if pass.owns(cfg) {
 			return nil
 		}
-		allowedWriter := matchPkg(cfg.JournalWriterPackages, pass.PkgPath)
+		if !slices.Contains(cfg.JournalWriterPackages, pass.PkgPath) {
+			banScan(pass, cfg, walWriterBans,
+				"%[1]s %[2]s; only the designated writer packages may produce WAL bytes", nil)
+		}
+		banScan(pass, cfg, appendBans, "%[1]s %[2]s", nil)
 		for _, file := range pass.Files {
-			checkJournalRefs(pass, cfg, file, allowedWriter)
-			for _, decl := range file.Decls {
-				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-					checkJournalPaths(pass, cfg, fd.Body)
-				}
-			}
 			ast.Inspect(file, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					checkJournalPaths(pass, cfg, lit.Body)
+				//pinlint:allow journaldiscipline this literal is the analyzer's own match pattern, not WAL bytes
+				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING && strings.Contains(lit.Value, "PINWAL1") {
+					pass.Reportf(lit.Pos(),
+						"WAL magic forged outside the journal package; all journal bytes must flow through journal.Writer")
 				}
 				return true
 			})
 		}
+		forEachBody(pass, func(body *ast.BlockStmt) { checkJournalPaths(pass, body) })
 		return nil
 	}
 	return a
 }
 
-// journalFunc resolves obj to a function of the journal implementation
-// package, returning its name.
-func journalFunc(cfg *Config, obj types.Object) (string, bool) {
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != cfg.JournalImplPackage {
-		return "", false
-	}
-	return fn.Name(), true
-}
-
-// checkJournalRefs enforces rule 1 on one file.
-func checkJournalRefs(pass *Pass, cfg *Config, file *ast.File, allowedWriter bool) {
-	ast.Inspect(file, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.Ident:
-			if allowedWriter {
-				return true
-			}
-			name, ok := journalFunc(cfg, pass.Info.Uses[n])
-			if !ok {
-				return true
-			}
-			if what, restricted := restrictedJournalFuncs[name]; restricted {
-				pass.Reportf(n.Pos(),
-					"journal.%s hands out %s; only the designated writer packages may produce WAL bytes",
-					name, what)
-			}
-		case *ast.BasicLit:
-			//pinlint:allow journaldiscipline this literal is the analyzer's own match pattern, not WAL bytes
-			if n.Kind == token.STRING && strings.Contains(n.Value, "PINWAL1") {
-				pass.Reportf(n.Pos(),
-					"WAL magic forged outside the journal package; all journal bytes must flow through journal.Writer")
-			}
-		case *ast.SelectorExpr:
-			if obj := pass.Info.Uses[n.Sel]; obj != nil && obj.Pkg() != nil &&
-				obj.Pkg().Path() == "os" && obj.Name() == "O_APPEND" {
-				pass.Reportf(n.Pos(),
-					"os.O_APPEND outside the journal package; appending to artifacts bypasses the WAL's framing and recovery")
-			}
-		}
-		return true
-	})
-}
-
 // checkJournalPaths enforces the path-sensitive rules 2 and 3 on one body.
-func checkJournalPaths(pass *Pass, cfg *Config, body *ast.BlockStmt) {
+func checkJournalPaths(pass *Pass, body *ast.BlockStmt) {
 	// Collect the interesting call sites first; most bodies have none and
 	// skip CFG construction entirely.
 	type site struct {
@@ -141,10 +104,9 @@ func checkJournalPaths(pass *Pass, cfg *Config, body *ast.BlockStmt) {
 				return true
 			}
 		}
-		if fn := CalleeOf(pass.Info, call); fn != nil {
-			if name, ok := journalFunc(cfg, fn); ok && metaCheckedJournalFuncs[name] {
-				sites = append(sites, site{call, 3, "journal." + name})
-			}
+		if fn := CalleeOf(pass.Info, call); fn != nil && fn.Pkg() != nil &&
+			fn.Pkg().Path() == journalPkg && metaCheckedJournalFuncs[fn.Name()] {
+			sites = append(sites, site{call, 3, "journal." + fn.Name()})
 		}
 		return true
 	})

@@ -10,11 +10,7 @@ import (
 // TestJournalDisciplinePaths runs the path-sensitive rules (fsync before
 // rename, meta check before resume) in a designated writer package.
 func TestJournalDisciplinePaths(t *testing.T) {
-	cfg := &lint.Config{
-		JournalPackages:       []string{"example.com/jd"},
-		JournalWriterPackages: []string{"example.com/jd"},
-		JournalImplPackage:    "pinscope/internal/journal",
-	}
+	cfg := &lint.Config{JournalWriterPackages: []string{"example.com/jd"}}
 	linttest.Run(t, "testdata/journaldiscipline", "example.com/jd", lint.NewJournalDiscipline(cfg))
 }
 
@@ -22,29 +18,11 @@ func TestJournalDisciplinePaths(t *testing.T) {
 // designated writer: constructing WAL writers or forging WAL bytes is
 // flagged outright.
 func TestJournalDisciplineForge(t *testing.T) {
-	cfg := &lint.Config{
-		JournalPackages:    []string{"example.com/forge"},
-		JournalImplPackage: "pinscope/internal/journal",
-	}
-	linttest.Run(t, "testdata/journalforge", "example.com/forge", lint.NewJournalDiscipline(cfg))
+	linttest.Run(t, "testdata/journalforge", "example.com/forge", lint.NewJournalDiscipline(&lint.Config{}))
 }
 
 // TestJournalDisciplineImplExempt reruns the forge fixture as if it were
 // the journal implementation package itself: everything is permitted.
 func TestJournalDisciplineImplExempt(t *testing.T) {
-	cfg := &lint.Config{
-		JournalPackages:    []string{"example.com/..."},
-		JournalImplPackage: "example.com/forge",
-	}
-	pkg, fset, err := lint.LoadDir("testdata/journalforge", "example.com/forge")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := lint.AnalyzePackage(fset, pkg, []*lint.Analyzer{lint.NewJournalDiscipline(cfg)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 0 {
-		t.Fatalf("journal impl package still flagged: %v", diags)
-	}
+	checkOwnerExempt(t, lint.NewJournalDiscipline, "testdata/journalforge", "example.com/forge")
 }

@@ -1,11 +1,11 @@
 // Package lint is pinscope's in-tree static-analysis suite. It enforces,
 // by tooling rather than convention, the invariants the reproduction study
-// depends on:
+// depends on. Eleven analyzers:
 //
-//   - detrandonly: simulation packages take no ambient entropy or wall
-//     time — every random or temporal decision flows through
-//     internal/detrand or is injected by the caller, so a world is
-//     reproducible bit-for-bit from its seed.
+//   - detrandonly: no ambient entropy or wall-clock reads — every random
+//     or temporal decision flows through internal/detrand or is injected,
+//     so a world is reproducible bit-for-bit from its seed. Serving/CLI
+//     telemetry is allowlisted per function.
 //   - mapdeterminism: no map iteration order escapes into slices, output
 //     streams or hashes without an intervening sort.
 //   - exportshape: every struct reachable from the versioned snapshot
@@ -14,6 +14,22 @@
 //   - atomicswap: the serving layer's atomic snapshot pointer is loaded at
 //     most once per request scope and stored only inside the designated
 //     swap function.
+//   - atomicwrite: artifact writes go through internal/atomicio, never a
+//     bare os.Create/os.WriteFile.
+//   - pkiissuance: key material is minted only by internal/pki.
+//   - goroutinelifetime: every go statement reaches a completion signal.
+//   - locksafety: Lock/Unlock pair on every path, and nothing blocks while
+//     a mutex is definitely held.
+//   - journaldiscipline: WAL bytes come only from the journal package,
+//     renames are fsynced first, resumes check the journal's meta.
+//   - detrandflow: detrand child labels are distinct per lineage.
+//   - errdrop: Close/Sync/Flush errors on write paths are not discarded.
+//
+// Every analyzer runs on every loaded package (atomicswap and exportshape
+// act only in the packages the policy names); the policy table in
+// config.go (Config) says only where a rule bends. detrandonly,
+// atomicwrite and pkiissuance are rows of one reference-ban table
+// (refban.go).
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer / Pass / Diagnostic) but is built on the standard library
@@ -111,11 +127,35 @@ func funcDisplayName(fd *ast.FuncDecl) string {
 	}
 }
 
-// enclosingFunc returns the FuncDecl in file whose body spans pos, or nil.
-func enclosingFunc(file *ast.File, pos token.Pos) *ast.FuncDecl {
-	for _, decl := range file.Decls {
-		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Pos() <= pos && pos <= fd.End() {
-			return fd
+// forEachBody calls fn on every function body in pass: each FuncDecl's and
+// each FuncLit's. A literal's body is visited on its own as well as inside
+// the body that contains it, so fn should skip nested literals.
+func forEachBody(pass *Pass, fn func(*ast.BlockStmt)) {
+	for _, file := range pass.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Body != nil {
+					fn(n.Body)
+				}
+			case *ast.FuncLit:
+				fn(n.Body)
+			}
+			return true
+		})
+	}
+}
+
+// enclosingFunc returns the FuncDecl in files whose body spans pos, or nil.
+func enclosingFunc(files []*ast.File, pos token.Pos) *ast.FuncDecl {
+	for _, file := range files {
+		if pos < file.Pos() || file.End() < pos {
+			continue
+		}
+		for _, decl := range file.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Pos() <= pos && pos <= fd.End() {
+				return fd
+			}
 		}
 	}
 	return nil

@@ -23,32 +23,15 @@ import (
 	"go/types"
 )
 
-// NewLockSafety builds the locksafety analyzer over cfg.
-func NewLockSafety(cfg *Config) *Analyzer {
+// NewLockSafety builds the locksafety analyzer.
+func NewLockSafety() *Analyzer {
 	a := &Analyzer{
 		Name: "locksafety",
 		Doc: "Lock/Unlock must pair on every path, no return or blocking operation " +
 			"(channel op, select, WaitGroup.Wait) while a mutex is definitely held",
 	}
 	a.Run = func(pass *Pass) error {
-		if !matchPkg(cfg.LockSafetyPackages, pass.PkgPath) {
-			return nil
-		}
-		for _, file := range pass.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				checkLockSafety(pass, fd.Body)
-			}
-			ast.Inspect(file, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					checkLockSafety(pass, lit.Body)
-				}
-				return true
-			})
-		}
+		forEachBody(pass, func(body *ast.BlockStmt) { checkLockSafety(pass, body) })
 		return nil
 	}
 	return a

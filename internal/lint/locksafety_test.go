@@ -8,8 +8,5 @@ import (
 )
 
 func TestLockSafety(t *testing.T) {
-	cfg := &lint.Config{
-		LockSafetyPackages: []string{"example.com/locks"},
-	}
-	linttest.Run(t, "testdata/locksafety", "example.com/locks", lint.NewLockSafety(cfg))
+	linttest.Run(t, "testdata/locksafety", "example.com/locks", lint.NewLockSafety())
 }

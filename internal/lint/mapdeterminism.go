@@ -19,17 +19,14 @@ import (
 	"strings"
 )
 
-// NewMapDeterminism builds the mapdeterminism analyzer over cfg.
-func NewMapDeterminism(cfg *Config) *Analyzer {
+// NewMapDeterminism builds the mapdeterminism analyzer.
+func NewMapDeterminism() *Analyzer {
 	a := &Analyzer{
 		Name: "mapdeterminism",
 		Doc: "flags map iteration whose order escapes into slices, output streams " +
 			"or hashes without a subsequent sort",
 	}
 	a.Run = func(pass *Pass) error {
-		if !matchPkg(cfg.MapOrderPackages, pass.PkgPath) {
-			return nil
-		}
 		for _, file := range pass.Files {
 			inspectWithStack(file, func(n ast.Node, stack []ast.Node) bool {
 				rs, ok := n.(*ast.RangeStmt)

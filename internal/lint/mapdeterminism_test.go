@@ -8,8 +8,5 @@ import (
 )
 
 func TestMapDeterminism(t *testing.T) {
-	cfg := &lint.Config{
-		MapOrderPackages: []string{"example.com/mapdet"},
-	}
-	linttest.Run(t, "testdata/mapdeterminism", "example.com/mapdet", lint.NewMapDeterminism(cfg))
+	linttest.Run(t, "testdata/mapdeterminism", "example.com/mapdet", lint.NewMapDeterminism())
 }

@@ -14,16 +14,16 @@ import (
 func Suite(cfg *Config) []*Analyzer {
 	return []*Analyzer{
 		NewDetrandOnly(cfg),
-		NewMapDeterminism(cfg),
+		NewMapDeterminism(),
 		NewExportShape(cfg),
 		NewAtomicSwap(cfg),
 		NewAtomicWrite(cfg),
 		NewPKIIssuance(cfg),
-		NewGoroutineLifetime(cfg),
-		NewLockSafety(cfg),
+		NewGoroutineLifetime(),
+		NewLockSafety(),
 		NewJournalDiscipline(cfg),
 		NewDetrandFlow(cfg),
-		NewErrDrop(cfg),
+		NewErrDrop(),
 	}
 }
 
@@ -79,7 +79,7 @@ func AnalyzePackage(fset *token.FileSet, pkg *Package, analyzers []*Analyzer) ([
 			return nil, fmt.Errorf("lint: %s on %s: %v", a.Name, pkg.PkgPath, err)
 		}
 	}
-	allows, bad := collectAllows(fset, pkg, analyzerNames(analyzers))
+	allows, bad := collectAllows(fset, pkg)
 	kept := diags[:0]
 	for _, d := range diags {
 		if allows.suppresses(d) {
@@ -90,13 +90,16 @@ func AnalyzePackage(fset *token.FileSet, pkg *Package, analyzers []*Analyzer) ([
 	return append(kept, bad...), nil
 }
 
-func analyzerNames(analyzers []*Analyzer) map[string]bool {
-	names := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
+// knownAnalyzers names every analyzer Suite builds. Directives are checked
+// against the whole suite rather than the analyzers of one run, so that a
+// justified directive for an analyzer that is not running stays valid.
+var knownAnalyzers = func() map[string]bool {
+	names := map[string]bool{}
+	for _, a := range Suite(&Config{}) {
 		names[a.Name] = true
 	}
 	return names
-}
+}()
 
 // allowSet indexes directives by file and line.
 type allowSet map[string]map[int][]string // filename -> line -> analyzers
@@ -121,7 +124,7 @@ const allowPrefix = "//pinlint:allow"
 // A directive must name a known analyzer and carry a justification; ones
 // that do not are returned as findings in their own right, so the escape
 // hatch cannot rot into a blanket mute.
-func collectAllows(fset *token.FileSet, pkg *Package, known map[string]bool) (allowSet, []Diagnostic) {
+func collectAllows(fset *token.FileSet, pkg *Package) (allowSet, []Diagnostic) {
 	allows := allowSet{}
 	var bad []Diagnostic
 	report := func(pos token.Pos, format string, args ...any) {
@@ -148,7 +151,7 @@ func collectAllows(fset *token.FileSet, pkg *Package, known map[string]bool) (al
 					continue
 				}
 				name := fields[0]
-				if !known[name] {
+				if !knownAnalyzers[name] {
 					report(c.Pos(), "allow directive names unknown analyzer %q", name)
 					continue
 				}

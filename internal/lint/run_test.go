@@ -11,14 +11,11 @@ import (
 // findings in their own right, well-formed ones suppress, and lookalike
 // prefixes are ignored.
 func TestAllowDirectiveGrammar(t *testing.T) {
-	cfg := &lint.Config{
-		StrictDeterminism: []string{"example.com/allowmisuse"},
-	}
 	pkg, fset, err := lint.LoadDir("testdata/allowmisuse", "example.com/allowmisuse")
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := lint.AnalyzePackage(fset, pkg, lint.Suite(cfg))
+	diags, err := lint.AnalyzePackage(fset, pkg, lint.Suite(&lint.Config{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,6 +46,44 @@ func TestAllowDirectiveGrammar(t *testing.T) {
 		}
 		if !found {
 			t.Errorf("no pinlint diagnostic containing %q in %v", sub, diags)
+		}
+	}
+}
+
+// TestAllowDirectiveForAnotherAnalyzer: a justified directive names an
+// analyzer of the suite even when a run selects only other analyzers, so
+// it is no finding there (the fixture's directive is for detrandonly).
+func TestAllowDirectiveForAnotherAnalyzer(t *testing.T) {
+	pkg, fset, err := lint.LoadDir("testdata/detrandonly/sim", "example.com/sim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := lint.AnalyzePackage(fset, pkg, []*lint.Analyzer{lint.NewPKIIssuance(&lint.Config{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diags) != 0 {
+		t.Fatalf("want no findings, got %v", diags)
+	}
+}
+
+// checkOwnerExempt: the analyzer flags its fixture, and is silent on the
+// same fixture once the fixture's package is the analyzer's Config.Owners
+// entry.
+func checkOwnerExempt(t *testing.T, analyzer func(*lint.Config) *lint.Analyzer, dir, pkgPath string) {
+	t.Helper()
+	pkg, fset, err := lint.LoadDir(dir, pkgPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := analyzer(&lint.Config{}).Name
+	for _, owners := range []map[string]string{nil, {name: pkgPath}} {
+		diags, err := lint.AnalyzePackage(fset, pkg, []*lint.Analyzer{analyzer(&lint.Config{Owners: owners})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if owned := owners != nil; owned != (len(diags) == 0) {
+			t.Errorf("%s on %s (owner: %v): %d findings %v", name, pkgPath, owned, len(diags), diags)
 		}
 	}
 }

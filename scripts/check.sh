@@ -1,8 +1,8 @@
 #!/bin/sh
 # check.sh — the repo's one-command health gate: gofmt, build (the repo
-# and the perfbench module), vet, the pinlint invariant suite diffed
-# against its checked-in baseline, full test suite (shuffled), a
-# race-detector pass over the whole tree (minus the slowest
+# and the perfbench module), vet, the pinlint invariant suite (any
+# finding fails the gate; its wall time is printed), full test suite
+# (shuffled), a race-detector pass over the whole tree (minus the slowest
 # fault-injection e2e sweeps), a race-checked shard-fleet smoke over both
 # shard transports, a longitudinal kill/resume smoke, a cross-process
 # shard merge smoke, a cross-process journal identity smoke, a
@@ -11,6 +11,9 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
 
 echo "==> gofmt -l"
 unformatted=$(gofmt -l .)
@@ -49,10 +52,15 @@ go vet -copylocks -loopclosure -atomic \
 # pinlint runs before the expensive passes: the custom invariant suite
 # (detrandonly, mapdeterminism, exportshape, atomicswap, atomicwrite,
 # pkiissuance, goroutinelifetime, locksafety, journaldiscipline,
-# detrandflow, errdrop) is diffed against the checked-in baseline, so
-# only NEW findings fail the gate (see scripts/lint_diff.sh).
-echo "==> pinlint (baseline diff)"
-./scripts/lint_diff.sh
+# detrandflow, errdrop) over the whole tree. The tree is clean, so any
+# finding fails the gate. The binary is built first so the printed wall
+# time is the lint run's alone, not the compile's.
+echo "==> pinlint ./..."
+go build -o "$tmp/pinlint" ./cmd/pinlint
+start=$(date +%s%N)
+"$tmp/pinlint" ./...
+end=$(date +%s%N)
+echo "pinlint wall time: $(( (end - start) / 1000000 )) ms"
 
 # -shuffle=on randomizes test and subtest execution order so accidental
 # inter-test coupling (shared globals, order-dependent caches) cannot hide.
@@ -91,18 +99,16 @@ go test -race -count=1 \
 # is being written, then resumed from the per-point WALs; every resumed
 # per-point export must be byte-identical to the uninterrupted sweep's.
 echo "==> longitudinal smoke (kill mid-timeline, resume, byte-compare)"
-tldir=$(mktemp -d)
-trap 'rm -rf "$tldir"' EXIT
 pts="froyo,kitkat,distrust-ca-distrust"
-go run ./cmd/pinstudy -scale mini -timeline -points "$pts" -export "$tldir/clean.json" > /dev/null
-go run ./cmd/pinstudy -scale mini -timeline -points "$pts" -journal "$tldir/wal" \
+go run ./cmd/pinstudy -scale mini -timeline -points "$pts" -export "$tmp/clean.json" > /dev/null
+go run ./cmd/pinstudy -scale mini -timeline -points "$pts" -journal "$tmp/wal" \
     -kill-after 40 -kill-torn 5 -kill-at-point kitkat > /dev/null 2>&1 && {
     echo "longitudinal smoke: injected mid-timeline kill did not fire" >&2
     exit 1
 }
-go run ./cmd/pinstudy -scale mini -timeline -points "$pts" -journal "$tldir/wal" -export "$tldir/resumed.json" > /dev/null
+go run ./cmd/pinstudy -scale mini -timeline -points "$pts" -journal "$tmp/wal" -export "$tmp/resumed.json" > /dev/null
 for tag in froyo kitkat distrust-ca-distrust; do
-    cmp "$tldir/clean-$tag.json" "$tldir/resumed-$tag.json"
+    cmp "$tmp/clean-$tag.json" "$tmp/resumed-$tag.json"
 done
 
 # Cross-process merge smoke: a mini sharded run in one process, its merge
@@ -110,20 +116,20 @@ done
 # builds no world), and the merged export byte-compared with an unsharded
 # run's.
 echo "==> cross-process merge smoke (shard, merge in a new process, byte-compare)"
-go run ./cmd/pinstudy -scale mini -shards 3 -journal "$tldir/shards" > /dev/null
-go run ./cmd/pinstudy -scale mini -shards 3 -journal "$tldir/shards" -merge -export "$tldir/merged.json" > /dev/null
-go run ./cmd/pinstudy -scale mini -export "$tldir/single.json" > /dev/null
-cmp "$tldir/single.json" "$tldir/merged.json"
+go run ./cmd/pinstudy -scale mini -shards 3 -journal "$tmp/shards" > /dev/null
+go run ./cmd/pinstudy -scale mini -shards 3 -journal "$tmp/shards" -merge -export "$tmp/merged.json" > /dev/null
+go run ./cmd/pinstudy -scale mini -export "$tmp/single.json" > /dev/null
+cmp "$tmp/single.json" "$tmp/merged.json"
 
 # Cross-process journal identity smoke: the same sharded run in two
 # processes, each building its own world, must journal identical bytes —
 # the cross-process form of DESIGN.md §8 step 1. Certificate signatures
 # are deterministic (RFC 6979), so even the DER a record carries agrees.
 echo "==> cross-process journal identity smoke (two processes, cmp every slice WAL)"
-go run ./cmd/pinstudy -scale mini -shards 3 -journal "$tldir/ja" > /dev/null
-go run ./cmd/pinstudy -scale mini -shards 3 -journal "$tldir/jb" > /dev/null
-for wal in "$tldir"/ja/shard-*.wal; do
-    cmp "$wal" "$tldir/jb/$(basename "$wal")"
+go run ./cmd/pinstudy -scale mini -shards 3 -journal "$tmp/ja" > /dev/null
+go run ./cmd/pinstudy -scale mini -shards 3 -journal "$tmp/jb" > /dev/null
+for wal in "$tmp"/ja/shard-*.wal; do
+    cmp "$wal" "$tmp/jb/$(basename "$wal")"
 done
 
 # One iteration of every benchmark: proves the suite (including the
