@@ -50,13 +50,14 @@ serve:
 
 # resume-demo shows crash-only operation end to end: a mini study is killed
 # by fault injection after 40 journaled results (the leading "-" expects
-# that failure), then resumed from the journal; the resumed export must be
-# byte-identical to an uninterrupted run's.
+# that failure), then resumed by rerunning it over the journal without the
+# kill flags; the resumed export must be byte-identical to an
+# uninterrupted run's.
 resume-demo:
 	rm -f /tmp/pinscope-demo.wal /tmp/pinscope-resumed.json* /tmp/pinscope-clean.json*
 	$(GO) run ./cmd/pinstudy -scale mini -export /tmp/pinscope-clean.json > /dev/null
 	-$(GO) run ./cmd/pinstudy -scale mini -journal /tmp/pinscope-demo.wal -kill-after 40 -kill-torn 5 > /dev/null
-	$(GO) run ./cmd/pinstudy -scale mini -journal /tmp/pinscope-demo.wal -resume -export /tmp/pinscope-resumed.json > /dev/null
+	$(GO) run ./cmd/pinstudy -scale mini -journal /tmp/pinscope-demo.wal -export /tmp/pinscope-resumed.json > /dev/null
 	cmp /tmp/pinscope-clean.json /tmp/pinscope-resumed.json
 	@echo "resume-demo: resumed export is byte-identical to the uninterrupted run"
 

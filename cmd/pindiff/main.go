@@ -3,15 +3,9 @@
 // MITM proxy, prints the per-destination connection classifications, and
 // gives the differential pinning verdict.
 //
-// With -timeline it runs the longitudinal mode instead: the same mini
-// universe is replayed across root-program releases and distrust events,
-// and the Table-3-over-time, breakage and breakage-delta tables are
-// printed (see internal/rootprogram).
-//
 // Usage:
 //
 //	pindiff [-seed N] [-platform android|ios] [-app com.example.id]
-//	pindiff -timeline [-seed N] [-points tag,tag,...]
 package main
 
 import (
@@ -19,16 +13,13 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 
 	"pinscope/internal/appmodel"
-	"pinscope/internal/core"
 	"pinscope/internal/detrand"
 	"pinscope/internal/device"
 	"pinscope/internal/dynamicanalysis"
 	"pinscope/internal/mitmproxy"
 	"pinscope/internal/pki"
-	"pinscope/internal/report"
 	"pinscope/internal/worldgen"
 )
 
@@ -36,15 +27,7 @@ func main() {
 	seed := flag.Int64("seed", 7, "world seed")
 	platform := flag.String("platform", "ios", "android or ios")
 	appID := flag.String("app", "", "app id (default: first pinning app)")
-	timeline := flag.Bool("timeline", false, "replay the universe across root-program releases and distrust events")
-	points := flag.String("points", "froyo,gingerbread,kitkat,distrust-ca-distrust",
-		"timeline points for -timeline (comma-separated tags; empty = all)")
 	flag.Parse()
-
-	if *timeline {
-		runTimeline(*seed, *points)
-		return
-	}
 
 	plat := appmodel.Android
 	if *platform == "ios" {
@@ -132,22 +115,4 @@ func main() {
 
 	fmt.Printf("\nverdict: app pins = %v; pinned destinations: %v\n", res.Pins(), res.PinnedDests())
 	fmt.Printf("ground truth (generator): %v\n", target.Truth.PinnedHosts)
-}
-
-// runTimeline is the -timeline mode: a longitudinal sweep over the mini
-// universe with the full time-axis report.
-func runTimeline(seed int64, points string) {
-	var tags []string
-	for _, t := range strings.Split(points, ",") {
-		if t = strings.TrimSpace(t); t != "" {
-			tags = append(tags, t)
-		}
-	}
-	ls, err := core.RunLongitudinal(core.TestConfig(seed), core.TimelineConfig{Points: tags})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pindiff: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("longitudinal sweep: seed %d, %d timeline points\n\n", seed, len(ls.Points))
-	fmt.Println(report.Longitudinal(ls))
 }

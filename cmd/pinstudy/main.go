@@ -6,7 +6,7 @@
 //
 //	pinstudy [-scale mini|paper] [-seed N] [-section table3] [-sweep] [-ablate]
 //	         [-faults 0.1] [-retries 2] [-chaos]
-//	         [-journal run.wal] [-resume] [-kill-after N] [-kill-torn K]
+//	         [-journal run.wal] [-kill-after N] [-kill-torn K]
 //	         [-shards N] [-shard-kill 1@3,2@0] [-merge]
 //	         [-shard-listen host:port] [-shard-connect host:port] [-shard-scope label]
 //	         [-timeline] [-points tag,tag,...] [-kill-at-point tag]
@@ -14,6 +14,10 @@
 //
 // The default paper scale studies ≈5,000 unique apps and takes a couple of
 // minutes; -scale mini runs a few hundred apps in seconds.
+//
+// With -journal the study is crash-only: results stream into a
+// write-ahead journal, and rerunning the same command over a killed run's
+// journal resumes it (-kill-after injects such a kill for testing).
 //
 // With -shards N the study runs as N crash-only slices under lease-based
 // coordination, journaling into the -journal directory (one WAL per slice);
@@ -63,8 +67,7 @@ func main() {
 	faults := flag.Float64("faults", 0, "fault-injection rate in [0,1] (0 = clean run)")
 	retries := flag.Int("retries", 0, "per-app retry budget under faults (0 = default)")
 	chaos := flag.Bool("chaos", false, "also run the chaos sweep (full study per fault rate)")
-	jpath := flag.String("journal", "", "write-ahead journal path: stream results durably as they complete")
-	resume := flag.Bool("resume", false, "resume from an existing -journal, replaying completed apps")
+	jpath := flag.String("journal", "", "write-ahead journal path: stream results durably as they complete; an existing journal is resumed")
 	killAfter := flag.Int("kill-after", 0, "fault injection: die after N journaled results (requires -journal)")
 	killTorn := flag.Int("kill-torn", 0, "fault injection: bytes of the interrupted frame left on disk (with -kill-after); no effect on -shard-kill deaths, which tear only a TCP wire frame")
 	shards := flag.Int("shards", 0, "run the study as N crash-only slices; -journal names the shard directory")
@@ -103,12 +106,10 @@ func main() {
 	}
 	cfg.FaultRate = *faults
 	cfg.Retries = *retries
-	if (*resume || *killAfter > 0) && *jpath == "" {
-		fmt.Fprintln(os.Stderr, "pinstudy: -resume and -kill-after require -journal")
+	if *killAfter > 0 && *jpath == "" {
+		fmt.Fprintln(os.Stderr, "pinstudy: -kill-after requires -journal")
 		os.Exit(2)
 	}
-	cfg.JournalPath = *jpath
-	cfg.Resume = *resume
 	cfg.KillAfter = *killAfter
 	cfg.KillTorn = *killTorn
 	cfg.ColdCrypto = *coldCrypto
@@ -130,6 +131,7 @@ func main() {
 		return
 	}
 
+	cfg.JournalPath = *jpath
 	var cpuOut *atomicio.Writer
 	if *cpuprofile != "" {
 		w, err := atomicio.Create(*cpuprofile)
@@ -178,7 +180,7 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pinstudy: %v\n", err)
 		if pinscope.IsKilled(err) {
-			fmt.Fprintf(os.Stderr, "pinstudy: journaled results survive in %s; rerun with -resume to continue\n", *jpath)
+			fmt.Fprintf(os.Stderr, "pinstudy: journaled results survive in %s; rerun without the kill flags to resume\n", *jpath)
 		}
 		os.Exit(1)
 	}
@@ -257,8 +259,6 @@ func runTimeline(cfg pinscope.Config, enabled bool, points, killAtPoint, dir, ex
 		fmt.Fprintln(os.Stderr, "pinstudy: -points and -kill-at-point require -timeline")
 		os.Exit(2)
 	}
-	cfg.JournalPath = "" // timeline runs journal per point under dir
-	cfg.Resume = false   // point journals resume automatically
 	var tags []string
 	for _, t := range strings.Split(points, ",") {
 		if t = strings.TrimSpace(t); t != "" {
@@ -325,7 +325,6 @@ func runSharded(cfg pinscope.Config, shards int, shardKill string, killTorn int,
 		fmt.Fprintln(os.Stderr, "pinstudy: -shards requires -journal (the shard-journal directory)")
 		os.Exit(2)
 	}
-	cfg.JournalPath = "" // sharded runs journal per slice under dir
 	kills, err := parseShardKills(shardKill)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pinstudy: %v\n", err)
@@ -397,7 +396,6 @@ func runShardServe(cfg pinscope.Config, shards int, dir string, workers int, add
 		fmt.Fprintln(os.Stderr, "pinstudy: -shard-listen requires -journal (the shard-journal directory)")
 		os.Exit(2)
 	}
-	cfg.JournalPath = "" // sharded runs journal per slice under dir
 	start := time.Now()
 	fmt.Fprintf(os.Stderr, "pinstudy: serving sharded study (seed %d): %d shards on %s, journals in %s...\n",
 		cfg.Seed, shards, addr, dir)

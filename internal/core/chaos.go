@@ -91,9 +91,6 @@ func ChaosSweep(cfg Config, rates []float64) ([]ChaosPoint, error) {
 }
 
 func chaosPoint(cfg Config, rate float64) (ChaosPoint, error) {
-	if cfg.Window == 0 {
-		cfg.Window = 30
-	}
 	cfg.Faults = nil
 	if rate > 0 {
 		cfg.Faults = faultinject.NewPlan(cfg.Params.Seed, faultinject.Uniform(rate))

@@ -71,7 +71,7 @@ func exportMeta(cfg Config) DatasetMeta {
 		CommonSize:  cfg.Params.CommonSize,
 		PopularSize: cfg.Params.PopularSize,
 		RandomSize:  cfg.Params.RandomSize,
-		Window:      cfg.Window,
+		Window:      cfg.captureWindow(),
 		Release:     cfg.Release,
 	}
 }

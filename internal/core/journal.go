@@ -13,7 +13,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
+	"io"
+	"os"
 
 	"pinscope/internal/appmodel"
 	"pinscope/internal/apppkg"
@@ -53,7 +54,7 @@ func metaFor(cfg Config) journalMeta {
 	return journalMeta{
 		Format:     journalFormatVersion,
 		Params:     cfg.Params,
-		Window:     cfg.Window,
+		Window:     cfg.captureWindow(),
 		FaultSeed:  cfg.Faults.Seed(),
 		FaultRates: cfg.Faults.Rates(),
 		Retries:    cfg.Retries,
@@ -294,42 +295,39 @@ func (rec *journalRecord) result(app *appmodel.App) (*AppResult, error) {
 	return r, nil
 }
 
-// StudyJournal is the runner-facing face of the WAL: a sink for completed
+// studyJournal is the runner-facing face of the WAL: a sink for completed
 // results plus (after a resume) the replay source of previously journaled
-// ones. All methods tolerate a nil receiver, so the runner threads one
-// pointer through without guarding.
-type StudyJournal struct {
-	w *journal.Writer
-
-	mu     sync.Mutex
+// ones. replay is read-only once open, so workers share it unlocked. The
+// runner's methods tolerate a nil receiver, so it threads one pointer
+// through without guarding.
+type studyJournal struct {
+	w      *journal.Writer
 	replay map[string][]byte
 }
 
-// CreateJournal starts a fresh journal for cfg at path. The header frame
-// records the full run configuration so a later resume can refuse to mix
-// runs.
-func CreateJournal(path string, cfg Config) (*StudyJournal, error) {
+// openStudyJournal opens the study journal at path: an existing journal
+// is resumed (its header must match cfg exactly, and a torn tail is cut
+// at the last verified frame), a missing one is created with cfg in its
+// header. This is the one resume rule every crash-only runner follows.
+func openStudyJournal(path string, cfg Config) (*studyJournal, error) {
 	meta, err := json.Marshal(metaFor(cfg))
 	if err != nil {
 		return nil, err
 	}
-	w, err := journal.Create(path, meta)
+	if _, err := os.Stat(path); err != nil {
+		w, err := journal.Create(path, meta)
+		if err != nil {
+			return nil, err
+		}
+		return &studyJournal{w: w}, nil
+	}
+	r, err := journal.OpenReader(path)
 	if err != nil {
 		return nil, err
 	}
-	return &StudyJournal{w: w}, nil
-}
-
-// ResumeJournal recovers the journal at path, verifies it was written by
-// an identical configuration, and reopens it for appending (dropping a
-// torn tail at the last verified frame).
-func ResumeJournal(path string, cfg Config) (*StudyJournal, error) {
-	rec, err := journal.Recover(path)
-	if err != nil {
-		return nil, err
-	}
+	defer r.Close()
 	var got journalMeta
-	dec := json.NewDecoder(bytes.NewReader(rec.Meta))
+	dec := json.NewDecoder(bytes.NewReader(r.Meta()))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&got); err != nil {
 		return nil, fmt.Errorf("core: journal %s: undecodable header: %w", path, err)
@@ -338,63 +336,41 @@ func ResumeJournal(path string, cfg Config) (*StudyJournal, error) {
 		return nil, fmt.Errorf("core: journal %s was written by a different run configuration: journal %+v, current %+v",
 			path, got, want)
 	}
-	replay := make(map[string][]byte, len(rec.Results))
-	for i, data := range rec.Results {
+	replay := map[string][]byte{}
+	for {
+		data, err := r.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		} else if err != nil {
+			return nil, err
+		}
 		var k struct {
 			Key string `json:"key"`
 		}
 		if err := json.Unmarshal(data, &k); err != nil || k.Key == "" {
-			return nil, fmt.Errorf("core: journal %s: result %d has no key: %v", path, i, err)
+			return nil, fmt.Errorf("core: journal %s: result %d has no key: %v", path, r.Frames()-1, err)
 		}
 		replay[k.Key] = data
 	}
-	w, err := rec.AppendTo(path)
+	w, err := journal.ResumeWriter(path, r.Frames(), r.ValidSize())
 	if err != nil {
 		return nil, err
 	}
-	return &StudyJournal{w: w, replay: replay}, nil
-}
-
-// Replayed returns how many journaled results this journal holds for
-// replay. Nil-safe.
-func (j *StudyJournal) Replayed() int {
-	if j == nil {
-		return 0
-	}
-	return len(j.replay)
-}
-
-// Close releases the underlying file. Nil-safe; the journal file itself
-// stays on disk as the run's durable record.
-func (j *StudyJournal) Close() error {
-	if j == nil {
-		return nil
-	}
-	return j.w.Close()
-}
-
-// arm installs the power-cut tap. Nil-safe on both sides.
-func (j *StudyJournal) arm(k *faultinject.ProcessKill) {
-	if j == nil || k == nil {
-		return
-	}
-	j.w.SetCrashTap(k.Tap())
+	return &studyJournal{w: w, replay: replay}, nil
 }
 
 // replayed hands out (and consumes nothing from) the replay record for
 // key. Nil-safe.
-func (j *StudyJournal) replayed(key string) ([]byte, bool) {
+func (j *studyJournal) replayed(key string) ([]byte, bool) {
 	if j == nil {
 		return nil, false
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	data, ok := j.replay[key]
 	return data, ok
 }
 
 // append journals one completed result durably. Nil-safe (then a no-op).
-func (j *StudyJournal) append(key string, r *AppResult) error {
+func (j *studyJournal) append(key string, r *AppResult) error {
 	if j == nil {
 		return nil
 	}
@@ -412,37 +388,43 @@ func (j *StudyJournal) append(key string, r *AppResult) error {
 }
 
 // RunJournaled is Run with crash-only durability: results stream into the
-// journal at path, and with resume set the journaled results of a previous
-// (killed) run are replayed instead of re-measured. Determinism makes the
-// resumed study's export byte-identical to an uninterrupted run's.
-func RunJournaled(cfg Config, path string, resume bool) (*Study, error) {
-	if cfg.Window == 0 {
-		cfg.Window = 30
-	}
-	var (
-		j   *StudyJournal
-		err error
-	)
-	if resume {
-		j, err = ResumeJournal(path, cfg)
-	} else {
-		j, err = CreateJournal(path, cfg)
-	}
+// journal at path. An existing journal from an identical configuration is
+// resumed — its results are replayed instead of re-measured — and a
+// missing one is created, so rerunning a killed run continues it.
+// Determinism makes the resumed study's export byte-identical to an
+// uninterrupted run's. kill, when non-nil, arms the fault layer's power
+// cut: the run dies deterministically on the journal's append path,
+// leaving a torn frame for the next run to truncate.
+func RunJournaled(cfg Config, path string, kill *faultinject.ProcessKill) (*Study, error) {
+	return runJournaledOn(cfg, nil, path, kill)
+}
+
+// runJournaledOn is RunJournaled against an existing world (nil builds
+// one once the journal is open). A timeline sweep runs every point
+// through it on the one world it built.
+func runJournaledOn(cfg Config, w *worldgen.World, path string, kill *faultinject.ProcessKill) (*Study, error) {
+	j, err := openStudyJournal(path, cfg)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Journal = j
-	w, err := worldgen.Build(cfg.Params)
-	if err != nil {
-		j.Close()
-		return nil, err
+	if kill != nil {
+		j.w.SetCrashTap(kill.Tap())
 	}
-	s, err := RunOnWorld(cfg, w)
-	if err != nil {
-		j.Close()
-		return nil, err
+	if w == nil {
+		w, err = worldgen.Build(cfg.Params)
 	}
-	if err := j.Close(); err != nil {
+	var plane *cryptoPlane
+	if err == nil {
+		plane, err = newCryptoPlane(cfg, w)
+	}
+	var s *Study
+	if err == nil {
+		s, err = runOnWorldWithPlane(cfg, w, plane, j)
+	}
+	if cerr := j.w.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return nil, err
 	}
 	return s, nil

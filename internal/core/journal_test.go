@@ -29,9 +29,9 @@ func microCfg(seed int64) Config {
 	}
 }
 
-func runJournaled(t *testing.T, cfg Config, path string, resume bool) *Study {
+func runJournaled(t *testing.T, cfg Config, path string) *Study {
 	t.Helper()
-	s, err := RunJournaled(cfg, path, resume)
+	s, err := RunJournaled(cfg, path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func runJournaled(t *testing.T, cfg Config, path string, resume bool) *Study {
 func TestJournaledRunMatchesPlainRun(t *testing.T) {
 	plain := runCfg(t, microCfg(71))
 	path := filepath.Join(t.TempDir(), "run.wal")
-	journaled := runJournaled(t, microCfg(71), path, false)
+	journaled := runJournaled(t, microCfg(71), path)
 
 	if !bytes.Equal(exportBytes(t, plain), exportBytes(t, journaled)) {
 		t.Fatal("journaling changed the exported dataset")
@@ -70,7 +70,7 @@ func TestKillAtEveryFrameBoundaryThenResume(t *testing.T) {
 	want := exportBytes(t, runCfg(t, microCfg(72)))
 	// Count the frames one uninterrupted journaled run writes.
 	probe := filepath.Join(t.TempDir(), "probe.wal")
-	total := len(runJournaled(t, microCfg(72), probe, false).results)
+	total := len(runJournaled(t, microCfg(72), probe).results)
 	if total < 10 {
 		t.Fatalf("micro world too small for a meaningful sweep: %d apps", total)
 	}
@@ -79,9 +79,8 @@ func TestKillAtEveryFrameBoundaryThenResume(t *testing.T) {
 		torn := []int{0, 1, 7}[i%3] // die before, inside the length field, inside the frame
 		path := filepath.Join(t.TempDir(), fmt.Sprintf("kill%d.wal", i))
 
-		cfg := microCfg(72)
-		cfg.Kill = &faultinject.ProcessKill{AfterResults: i, TornBytes: torn}
-		_, err := RunJournaled(cfg, path, false)
+		kill := &faultinject.ProcessKill{AfterResults: i, TornBytes: torn}
+		_, err := RunJournaled(microCfg(72), path, kill)
 		if !errors.Is(err, journal.ErrKilled) {
 			t.Fatalf("kill-after=%d: RunJournaled = %v, want ErrKilled", i, err)
 		}
@@ -95,7 +94,7 @@ func TestKillAtEveryFrameBoundaryThenResume(t *testing.T) {
 				i, torn, len(rec.Results), rec.TornBytes)
 		}
 
-		s := runJournaled(t, microCfg(72), path, true)
+		s := runJournaled(t, microCfg(72), path)
 		if s.Resumed != i {
 			t.Fatalf("kill-after=%d: resumed run replayed %d results", i, s.Resumed)
 		}
@@ -112,8 +111,8 @@ func TestKillAtEveryFrameBoundaryThenResume(t *testing.T) {
 
 func TestResumeOfCompletedJournalReplaysEverything(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "done.wal")
-	first := runJournaled(t, microCfg(73), path, false)
-	second := runJournaled(t, microCfg(73), path, true)
+	first := runJournaled(t, microCfg(73), path)
+	second := runJournaled(t, microCfg(73), path)
 	if second.Resumed != len(first.results) {
 		t.Fatalf("replayed %d of %d results", second.Resumed, len(first.results))
 	}
@@ -124,11 +123,11 @@ func TestResumeOfCompletedJournalReplaysEverything(t *testing.T) {
 
 func TestResumeRejectsForeignJournal(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.wal")
-	runJournaled(t, microCfg(74), path, false)
+	runJournaled(t, microCfg(74), path)
 
 	other := microCfg(74)
 	other.Params.Seed = 99
-	if _, err := RunJournaled(other, path, true); err == nil ||
+	if _, err := RunJournaled(other, path, nil); err == nil ||
 		!strings.Contains(err.Error(), "different run configuration") {
 		t.Fatalf("foreign journal accepted for resume: %v", err)
 	}
@@ -136,17 +135,9 @@ func TestResumeRejectsForeignJournal(t *testing.T) {
 	faulted := microCfg(74)
 	faulted.Faults = faultinject.NewPlan(7, faultinject.Uniform(0.1))
 	faulted.Retries = 2
-	if _, err := RunJournaled(faulted, path, true); err == nil ||
+	if _, err := RunJournaled(faulted, path, nil); err == nil ||
 		!strings.Contains(err.Error(), "different run configuration") {
 		t.Fatalf("journal from a fault-free run accepted under a fault plan: %v", err)
-	}
-}
-
-func TestFreshJournalRefusesExistingFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.wal")
-	runJournaled(t, microCfg(75), path, false)
-	if _, err := RunJournaled(microCfg(75), path, false); err == nil {
-		t.Fatal("second fresh run clobbered an existing journal")
 	}
 }
 
@@ -164,16 +155,42 @@ func TestJournaledFaultedRunResumes(t *testing.T) {
 	want := exportBytes(t, runCfg(t, mk()))
 
 	path := filepath.Join(t.TempDir(), "faulted.wal")
-	cfg := mk()
-	cfg.Kill = &faultinject.ProcessKill{AfterResults: 5, TornBytes: 3}
-	if _, err := RunJournaled(cfg, path, false); !errors.Is(err, journal.ErrKilled) {
+	kill := &faultinject.ProcessKill{AfterResults: 5, TornBytes: 3}
+	if _, err := RunJournaled(mk(), path, kill); !errors.Is(err, journal.ErrKilled) {
 		t.Fatalf("RunJournaled = %v, want ErrKilled", err)
 	}
-	s := runJournaled(t, mk(), path, true)
+	s := runJournaled(t, mk(), path)
 	if s.Resumed != 5 {
 		t.Fatalf("resumed run replayed %d results, want 5", s.Resumed)
 	}
 	if !bytes.Equal(want, exportBytes(t, s)) {
 		t.Fatal("resumed faulted export differs from uninterrupted run")
+	}
+}
+
+// A run that leaves Window unset measures with the device default, so its
+// journal header and export metadata must record that default too: Window
+// 0 and Window 30 name the same run.
+func TestUnsetWindowRecordsTheDefault(t *testing.T) {
+	set := microCfg(81)
+	unset := set
+	unset.Window = 0
+	if metaFor(unset) != metaFor(set) {
+		t.Fatalf("journal header of Window 0 %+v, of Window 30 %+v", metaFor(unset), metaFor(set))
+	}
+	w, err := worldgen.Build(set.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := RunOnWorld(set, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RunOnWorld(unset, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(exportBytes(t, a), exportBytes(t, b)) {
+		t.Fatal("Window 0 exports differently from Window 30")
 	}
 }

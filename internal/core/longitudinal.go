@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 
 	"pinscope/internal/appmodel"
+	"pinscope/internal/faultinject"
 	"pinscope/internal/pki"
 	"pinscope/internal/rootprogram"
 	"pinscope/internal/worldgen"
@@ -32,9 +33,12 @@ type TimelineConfig struct {
 	// replay instead of re-measuring, which is what makes a re-run after a
 	// mid-timeline kill both cheap and byte-identical.
 	Dir string
-	// KillAtPoint, when non-empty, arms Config.Kill only for the named
-	// point, so tests and demos can cut the process mid-timeline (after
-	// earlier points completed). Empty arms Config.Kill for every point.
+	// Kill, when non-nil (and Dir is set), arms the fault layer's power
+	// cut on the point journals' append path (see RunJournaled).
+	Kill *faultinject.ProcessKill
+	// KillAtPoint, when non-empty, arms Kill only for the named point, so
+	// tests and demos can cut the process mid-timeline (after earlier
+	// points completed). Empty arms Kill for every point.
 	KillAtPoint string
 }
 
@@ -55,20 +59,9 @@ type LongitudinalStudy struct {
 // RunLongitudinal builds the world once and replays the study across the
 // selected timeline points.
 func RunLongitudinal(cfg Config, tc TimelineConfig) (*LongitudinalStudy, error) {
-	if cfg.Window == 0 {
-		cfg.Window = 30
-	}
 	w, err := worldgen.Build(cfg.Params)
 	if err != nil {
 		return nil, err
-	}
-	return RunLongitudinalOnWorld(cfg, tc, w)
-}
-
-// RunLongitudinalOnWorld is RunLongitudinal against an existing world.
-func RunLongitudinalOnWorld(cfg Config, tc TimelineConfig, w *worldgen.World) (*LongitudinalStudy, error) {
-	if cfg.Window == 0 {
-		cfg.Window = 30
 	}
 	pts, err := selectPoints(w.Timeline, tc.Points)
 	if err != nil {
@@ -91,12 +84,13 @@ func RunLongitudinalOnWorld(cfg Config, tc TimelineConfig, w *worldgen.World) (*
 			appmodel.Android: android,
 			appmodel.IOS:     ios,
 		}
-		if tc.KillAtPoint != "" && tc.KillAtPoint != pt.Tag {
-			pcfg.Kill = nil
-		}
 		var s *Study
 		if tc.Dir != "" {
-			s, err = runPointJournaled(pcfg, w, PointJournalPath(tc.Dir, pt.Tag))
+			kill := tc.Kill
+			if tc.KillAtPoint != "" && tc.KillAtPoint != pt.Tag {
+				kill = nil
+			}
+			s, err = runJournaledOn(pcfg, w, PointJournalPath(tc.Dir, pt.Tag), kill)
 		} else {
 			s, err = RunOnWorld(pcfg, w)
 		}
@@ -163,35 +157,6 @@ func selectPoints(tl *rootprogram.Timeline, tags []string) ([]rootprogram.Point,
 		return nil, fmt.Errorf("core: unknown timeline point %q", t)
 	}
 	return out, nil
-}
-
-// runPointJournaled runs one point crash-only against an existing world:
-// an existing journal at path is resumed (strict config match included),
-// a missing one is created. This mirrors RunJournaled but reuses the
-// world — a timeline sweep builds it once, not once per point.
-func runPointJournaled(cfg Config, w *worldgen.World, path string) (*Study, error) {
-	var (
-		j   *StudyJournal
-		err error
-	)
-	if _, statErr := os.Stat(path); statErr == nil {
-		j, err = ResumeJournal(path, cfg)
-	} else {
-		j, err = CreateJournal(path, cfg)
-	}
-	if err != nil {
-		return nil, err
-	}
-	cfg.Journal = j
-	s, err := RunOnWorld(cfg, w)
-	if err != nil {
-		j.Close()
-		return nil, err
-	}
-	if err := j.Close(); err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 // Result returns the point result for tag, or nil.

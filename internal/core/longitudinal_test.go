@@ -53,10 +53,10 @@ func TestLongitudinalDeterministicAndCrashSafe(t *testing.T) {
 	// Kill the sweep mid-timeline: first point completes, the cut fires
 	// while the second point's journal is being written.
 	dir := t.TempDir()
-	killCfg := cfg
-	killCfg.Kill = &faultinject.ProcessKill{AfterResults: 7, TornBytes: 3}
-	_, err = RunLongitudinal(killCfg, TimelineConfig{
-		Points: tc.Points, Dir: dir, KillAtPoint: "kitkat",
+	_, err = RunLongitudinal(cfg, TimelineConfig{
+		Points: tc.Points, Dir: dir,
+		Kill:        &faultinject.ProcessKill{AfterResults: 7, TornBytes: 3},
+		KillAtPoint: "kitkat",
 	})
 	if !errors.Is(err, journal.ErrKilled) {
 		t.Fatalf("killed sweep returned %v, want ErrKilled", err)
@@ -110,20 +110,24 @@ func TestPointJournalRefusesOtherRelease(t *testing.T) {
 	cfg.Release = "froyo"
 	dir := t.TempDir()
 	path := PointJournalPath(dir, "froyo")
-	j, err := CreateJournal(path, cfg)
+	j, err := openStudyJournal(path, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Close(); err != nil {
+	if err := j.w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	other := cfg
 	other.Release = "kitkat"
-	if _, err := ResumeJournal(path, other); err == nil {
+	if _, err := openStudyJournal(path, other); err == nil {
 		t.Fatal("resume across timeline points must fail")
 	}
-	if _, err := ResumeJournal(path, cfg); err != nil {
+	j, err = openStudyJournal(path, cfg)
+	if err != nil {
 		t.Fatalf("same-point resume failed: %v", err)
+	}
+	if err := j.w.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -33,9 +33,6 @@ type mergeProbe struct {
 // per pinned destination) lives across the walk — the full dataset never
 // materializes.
 func MergeShards(out io.Writer, cfg Config, sc ShardedConfig) error {
-	if cfg.Window == 0 {
-		cfg.Window = 30
-	}
 	if sc.Shards <= 0 {
 		return errors.New("core: merge needs the run's shard count")
 	}

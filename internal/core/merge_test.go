@@ -309,7 +309,7 @@ func TestJournalFormatOneIsRefused(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ResumeJournal(path, cfg); err == nil || !strings.Contains(err.Error(), "different run") {
+	if _, err := openStudyJournal(path, cfg); err == nil || !strings.Contains(err.Error(), "different run") {
 		t.Fatalf("resume of a format-1 study journal: %v, want a different-run error", err)
 	}
 }

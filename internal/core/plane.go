@@ -53,10 +53,14 @@ type cryptoPlane struct {
 	stores  map[appmodel.Platform]planeStores
 }
 
-// newCryptoPlane derives the plane for a study configuration. The proxy CA
-// reproduces exactly what each worker's mitmproxy.NewWithCA derived from
-// the study seed, so adopting the plane changes no observable bytes.
+// newCryptoPlane derives the plane for a study configuration; a ColdCrypto
+// run has none (nil). The proxy CA reproduces exactly what each worker's
+// mitmproxy.NewWithCA derived from the study seed, so adopting the plane
+// changes no observable bytes.
 func newCryptoPlane(cfg Config, w *worldgen.World) (*cryptoPlane, error) {
+	if cfg.ColdCrypto {
+		return nil, nil
+	}
 	proxyRng := detrand.New(cfg.Params.Seed).Child("study-proxy")
 	ca, err := pki.NewRootCA(proxyRng.Child("mitm-ca"), "mitmproxy", "mitmproxy", 10)
 	if err != nil {

@@ -113,7 +113,7 @@ func TestPlaneCachesAreExercised(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runOnWorldWithPlane(cfg, w, plane); err != nil {
+	if _, err := runOnWorldWithPlane(cfg, w, plane, nil); err != nil {
 		t.Fatal(err)
 	}
 	if plane.forged.Len() == 0 {

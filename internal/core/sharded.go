@@ -44,13 +44,9 @@ type ShardedConfig struct {
 	// journals instead of recomputing.
 	Dir string
 	// Faults is the deterministic shard fault plan: worker kills, and for
-	// RunSharded the simulated network's faults. Nil injects nothing.
+	// RunSharded the simulated network's faults. Nil injects nothing;
+	// faultinject.DeriveShardPlan seeds one from (seed, rate, slice sizes).
 	Faults *faultinject.ShardPlan
-	// NetChaosRate, for RunSharded, derives a seeded fault plan from
-	// (seed, rate, slice sizes): applied wholesale when Faults is nil,
-	// otherwise only its network family rides along (mixing two kill
-	// sources could leave no surviving worker). 0 derives nothing.
-	NetChaosRate float64
 }
 
 // shardMeta is a slice journal's header: the full run configuration plus
@@ -122,15 +118,9 @@ func shardSlices(cfg Config, sc ShardedConfig, ranges [][2]int) ([]shardnet.Slic
 // prepareShardRun checks a sharded run's arguments and creates its
 // journal directory; every sharded entry point calls it before any world
 // is built.
-func prepareShardRun(cfg *Config, sc ShardedConfig) error {
-	if cfg.Window == 0 {
-		cfg.Window = 30
-	}
+func prepareShardRun(sc ShardedConfig) error {
 	if sc.Shards <= 0 {
 		return errors.New("core: sharded run needs at least one shard")
-	}
-	if cfg.Journal != nil || cfg.Kill != nil {
-		return errors.New("core: sharded runs journal per slice; Config.Journal and Config.Kill must be nil")
 	}
 	if sc.Dir == "" {
 		return errors.New("core: sharded run needs a journal directory")
@@ -155,20 +145,17 @@ type shardFleet struct {
 }
 
 func newShardFleet(cfg Config, w *worldgen.World, shards int) (*shardFleet, error) {
+	plane, err := newCryptoPlane(cfg, w)
+	if err != nil {
+		return nil, err
+	}
 	uni := shardUniverse(w)
-	f := &shardFleet{
+	return &shardFleet{
 		cfg: cfg, w: w, uni: uni,
 		ranges:     sliceRanges(len(uni), shards),
 		membership: datasetMembership(w),
-	}
-	if !cfg.ColdCrypto {
-		plane, err := newCryptoPlane(cfg, w)
-		if err != nil {
-			return nil, err
-		}
-		f.plane = plane
-	}
-	return f, nil
+		plane:      plane,
+	}, nil
 }
 
 // newBench builds one worker's private lab and prober over the fleet's
@@ -211,12 +198,11 @@ func (b *shardBench) RunItem(slice, item int) ([]byte, error) {
 // RunSharded executes the study as sc.Shards crash-only slices under the
 // lease coordinator, with an in-process worker fleet on shardnet's
 // simulated network, leaving one complete journal per slice in sc.Dir.
-// The plan's network faults (sc.Faults.Net, plus the sc.NetChaosRate
-// derivation) batter the simulated wire; its kills become mid-stream
-// worker deaths. It does not build a Study: the deliverable of a sharded
-// run is its journals, folded into an export by MergeShards. If the run
-// is killed (injected or real), rerunning with the same arguments resumes
-// every slice from its journal.
+// The plan's network faults (sc.Faults.Net) batter the simulated wire;
+// its kills become mid-stream worker deaths. It does not build a Study:
+// the deliverable of a sharded run is its journals, folded into an export
+// by MergeShards. If the run is killed (injected or real), rerunning with
+// the same arguments resumes every slice from its journal.
 func RunSharded(cfg Config, sc ShardedConfig) (*shardnet.Stats, error) {
 	return runShardedOn(cfg, sc, nil)
 }
@@ -225,17 +211,15 @@ func RunSharded(cfg Config, sc ShardedConfig) (*shardnet.Stats, error) {
 // once the arguments check out). The world is only read, so a caller may
 // share it — the chaos drill reruns a point on the point's own world.
 func runShardedOn(cfg Config, sc ShardedConfig, w *worldgen.World) (*shardnet.Stats, error) {
-	nr, err := netRunSetup(&cfg, sc, w)
+	nr, err := netRunSetup(cfg, sc, w)
 	if err != nil {
 		return nil, err
 	}
-	fleet, newBench, err := nr.localFleet()
+	newBench, err := nr.localFleet()
 	if err != nil {
 		return nil, err
 	}
-	workers := fleetSize(sc)
-	plan := netPlan(cfg.Params.Seed, sc, workers, fleet.ranges)
-	net := shardnet.NewSimNet(plan.NetFaults())
+	net := shardnet.NewSimNet(sc.Faults.NetFaults())
 	coord, err := shardnet.NewCoordinator(shardnet.Config{
 		Listener:    net.Listener(),
 		Clock:       net,
@@ -246,8 +230,8 @@ func runShardedOn(cfg Config, sc ShardedConfig, w *worldgen.World) (*shardnet.St
 	if err != nil {
 		return nil, err
 	}
-	kill := plan.KillTap()
-	return shardnet.RunFleet(coord, workers, func(i int) error {
+	kill := sc.Faults.KillTap()
+	return shardnet.RunFleet(coord, fleetSize(sc), func(i int) error {
 		return shardnet.RunWorker(net.Dialer(), shardnet.WorkerOptions{
 			Clock:       net,
 			NewBench:    newBench,
@@ -257,25 +241,6 @@ func runShardedOn(cfg Config, sc ShardedConfig, w *worldgen.World) (*shardnet.St
 			KillTap:     kill,
 		})
 	})
-}
-
-// netPlan is sc's fault plan with its NetChaosRate derivation applied:
-// the derived plan wholesale when sc.Faults is nil, otherwise only its
-// network family joins the explicit plan.
-func netPlan(seed int64, sc ShardedConfig, workers int, ranges [][2]int) *faultinject.ShardPlan {
-	if sc.NetChaosRate <= 0 {
-		return sc.Faults
-	}
-	derived := faultinject.DeriveShardPlan(seed, sc.NetChaosRate, workers, sliceItems(ranges))
-	switch {
-	case sc.Faults == nil:
-		return derived
-	case derived == nil:
-		return sc.Faults
-	}
-	p := *sc.Faults
-	p.Net = derived.Net
-	return &p
 }
 
 // fleetSize is the worker count of an in-process fleet.

@@ -219,9 +219,4 @@ func TestRunShardedValidation(t *testing.T) {
 	if _, err := RunSharded(cfg, ShardedConfig{Shards: 2}); err == nil {
 		t.Fatal("missing journal dir accepted")
 	}
-	bad := cfg
-	bad.Kill = &faultinject.ProcessKill{AfterResults: 1}
-	if _, err := RunSharded(bad, ShardedConfig{Shards: 2, Dir: t.TempDir()}); err == nil {
-		t.Fatal("Config.Kill accepted in sharded mode")
-	}
 }

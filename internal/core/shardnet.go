@@ -127,8 +127,8 @@ type netRun struct {
 
 // netRunSetup checks the arguments, builds the world unless the caller
 // passes one, and derives the slices and the wire run config from it.
-func netRunSetup(cfg *Config, sc ShardedConfig, w *worldgen.World) (*netRun, error) {
-	if err := prepareShardRun(cfg, sc); err != nil {
+func netRunSetup(cfg Config, sc ShardedConfig, w *worldgen.World) (*netRun, error) {
+	if err := prepareShardRun(sc); err != nil {
 		return nil, err
 	}
 	if w == nil {
@@ -137,11 +137,11 @@ func netRunSetup(cfg *Config, sc ShardedConfig, w *worldgen.World) (*netRun, err
 			return nil, err
 		}
 	}
-	slices, err := shardSlices(*cfg, sc, sliceRanges(len(studyWork(w)), sc.Shards))
+	slices, err := shardSlices(cfg, sc, sliceRanges(len(studyWork(w)), sc.Shards))
 	if err != nil {
 		return nil, err
 	}
-	rc, err := encodeNetRunConfig(*cfg, sc.Shards)
+	rc, err := encodeNetRunConfig(cfg, sc.Shards)
 	if err != nil {
 		return nil, err
 	}
@@ -153,12 +153,12 @@ func netRunSetup(cfg *Config, sc ShardedConfig, w *worldgen.World) (*netRun, err
 // every worker is shipped. Its NewBench still decodes and round-trip
 // verifies the Welcome payload, and refuses one naming a run other than
 // the one the shared world was built for.
-func (nr *netRun) localFleet() (*shardFleet, func([]byte) (shardnet.Bench, error), error) {
+func (nr *netRun) localFleet() (func([]byte) (shardnet.Bench, error), error) {
 	fleet, err := fleetFromRunConfig(nr.rc, nr.w)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return fleet, func(raw []byte) (shardnet.Bench, error) {
+	return func(raw []byte) (shardnet.Bench, error) {
 		cfg, shards, err := decodeNetRunConfig(raw)
 		if err != nil {
 			return nil, err
@@ -183,11 +183,11 @@ const (
 // real — but injected worker kills still fire, leaving torn wire frames
 // the receiver's framing must reject.
 func RunShardedTCP(cfg Config, sc ShardedConfig) (*shardnet.Stats, error) {
-	nr, err := netRunSetup(&cfg, sc, nil)
+	nr, err := netRunSetup(cfg, sc, nil)
 	if err != nil {
 		return nil, err
 	}
-	_, newBench, err := nr.localFleet()
+	newBench, err := nr.localFleet()
 	if err != nil {
 		return nil, err
 	}
@@ -231,7 +231,7 @@ func RunShardedTCP(cfg Config, sc ShardedConfig) (*shardnet.Stats, error) {
 // run; an interrupted serve resumes from the journals like any sharded
 // run.
 func ServeShards(cfg Config, sc ShardedConfig, addr string) (*shardnet.Stats, error) {
-	nr, err := netRunSetup(&cfg, sc, nil)
+	nr, err := netRunSetup(cfg, sc, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -147,8 +146,7 @@ func TestShardNetRerunResumesAfterFleetDeath(t *testing.T) {
 
 func TestShardNetDerivedPlanMergesByteIdentical(t *testing.T) {
 	// Same equivalence under the derived (seeded) fault plan with its
-	// network family — the plan NetChaosRate derives inside the run, and
-	// the path the chaos sweep's network drill exercises.
+	// network family — the path the chaos sweep's network drill exercises.
 	cfg := microCfg(57)
 	single := exportBytes(t, runCfg(t, cfg))
 
@@ -158,10 +156,11 @@ func TestShardNetDerivedPlanMergesByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := ShardedConfig{Shards: 4, Workers: 4, Dir: t.TempDir(), NetChaosRate: 1.0}
-	if plan := netPlan(cfg.Params.Seed, sc, 4, sliceRanges(len(shardUniverse(w)), 4)); plan == nil || !plan.Net.Any() {
+	plan := faultinject.DeriveShardPlan(cfg.Params.Seed, 1.0, 4, sliceItems(sliceRanges(len(shardUniverse(w)), 4)))
+	if plan == nil || !plan.Net.Any() {
 		t.Fatalf("derived plan injected no network chaos: %+v", plan)
 	}
+	sc := ShardedConfig{Shards: 4, Workers: 4, Dir: t.TempDir(), Faults: plan}
 	merged, _ := netShardedExport(t, RunSharded, shardedCfg, sc)
 	if !bytes.Equal(merged, single) {
 		t.Fatalf("derived-plan transported merge diverges (%d vs %d bytes)", len(merged), len(single))
@@ -175,11 +174,11 @@ func TestRemoteBenchAgreesWithLocalFleet(t *testing.T) {
 	// refuse a Welcome naming another run.
 	cfg := microCfg(69)
 	cfg.Workers = 0
-	nr, err := netRunSetup(&cfg, ShardedConfig{Shards: 2, Dir: t.TempDir()}, nil)
+	nr, err := netRunSetup(cfg, ShardedConfig{Shards: 2, Dir: t.TempDir()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet, newBench, err := nr.localFleet()
+	newBench, err := nr.localFleet()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +208,7 @@ func TestRemoteBenchAgreesWithLocalFleet(t *testing.T) {
 		}
 		return string(b)
 	}
-	for slice, rg := range fleet.ranges {
+	for slice, rg := range sliceRanges(len(studyWork(nr.w)), 2) {
 		for item := 0; item < rg[1]; item++ {
 			l, err := local.RunItem(slice, item)
 			if err != nil {
@@ -233,28 +232,5 @@ func TestRemoteBenchAgreesWithLocalFleet(t *testing.T) {
 	}
 	if _, err := newBench(rc); err == nil || !strings.Contains(err.Error(), "different run") {
 		t.Fatalf("local fleet given another run's Welcome: %v, want a different-run error", err)
-	}
-}
-
-func TestNetPlanCombinesExplicitKillsWithDerivedNetFamily(t *testing.T) {
-	ranges := sliceRanges(40, 4)
-	derived := faultinject.DeriveShardPlan(5, 1.0, 4, sliceItems(ranges))
-	if derived == nil || !derived.Net.Any() || len(derived.Kills) == 0 {
-		t.Fatalf("rate 1.0 derived %+v, want kills and network chaos", derived)
-	}
-	explicit := &faultinject.ShardPlan{Kills: []faultinject.ShardKill{{Slice: 1, AfterResults: 2}}}
-
-	if got := netPlan(5, ShardedConfig{Faults: explicit}, 4, ranges); got != explicit {
-		t.Fatal("rate 0 changed the explicit plan")
-	}
-	if got := netPlan(5, ShardedConfig{NetChaosRate: 1.0}, 4, ranges); !reflect.DeepEqual(got, derived) {
-		t.Fatalf("no explicit plan: got %+v, want the derived plan wholesale", got)
-	}
-	got := netPlan(5, ShardedConfig{Faults: explicit, NetChaosRate: 1.0}, 4, ranges)
-	if !reflect.DeepEqual(got.Kills, explicit.Kills) || !reflect.DeepEqual(got.Net, derived.Net) {
-		t.Fatalf("explicit kills plus rate: got %+v, want the explicit kills and the derived network family", got)
-	}
-	if explicit.Net != nil {
-		t.Fatal("netPlan wrote into the caller's plan")
 	}
 }

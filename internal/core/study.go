@@ -33,7 +33,8 @@ import (
 // Config parameterizes a study run.
 type Config struct {
 	Params worldgen.Params
-	// Window is the per-app capture window in seconds (paper: 30).
+	// Window is the per-app capture window in seconds (0: the device
+	// default, the paper's 30).
 	Window float64
 	// Workers caps parallel app processing; 0 means GOMAXPROCS.
 	Workers int
@@ -46,15 +47,6 @@ type Config struct {
 	// faults are enabled: clean runs are deterministic, so retrying them
 	// cannot change the outcome.
 	Retries int
-	// Journal, when non-nil, streams every completed per-app result into a
-	// crash-safe write-ahead log and replays the results it already holds,
-	// so a resumed run skips re-measuring journaled apps. Most callers use
-	// RunJournaled, which builds and closes it.
-	Journal *StudyJournal
-	// Kill, when non-nil (and Journal is set), arms the fault layer's
-	// power-cut: the process "dies" deterministically on the journal's
-	// append path, leaving a torn frame for recovery to truncate.
-	Kill *faultinject.ProcessKill
 	// ColdCrypto disables the shared crypto plane (interned forged chains,
 	// handshake memo, shared trust stores), forcing every worker to rebuild
 	// and re-handshake everything — the pre-plane behavior. Results are
@@ -74,6 +66,16 @@ type Config struct {
 	// derived (Release + seed regenerate it), so it never appears in
 	// journal metadata itself. RunLongitudinal sets both together.
 	Stores map[appmodel.Platform]*pki.RootStore
+}
+
+// captureWindow is the capture window the run measures with: Window, or
+// the device default when it is unset. Journal headers and export
+// metadata record this value, so Window 0 and the default name one run.
+func (cfg Config) captureWindow() float64 {
+	if cfg.Window == 0 {
+		return device.DefaultWindow
+	}
+	return cfg.Window
 }
 
 // baseStores returns the per-platform trust stores this run measures
@@ -331,9 +333,6 @@ func studyWork(w *worldgen.World) []workItem {
 
 // Run executes the complete study.
 func Run(cfg Config) (*Study, error) {
-	if cfg.Window == 0 {
-		cfg.Window = 30
-	}
 	w, err := worldgen.Build(cfg.Params)
 	if err != nil {
 		return nil, err
@@ -345,20 +344,18 @@ func Run(cfg Config) (*Study, error) {
 // reuse one world across experiments).
 func RunOnWorld(cfg Config, w *worldgen.World) (*Study, error) {
 	// The shared crypto plane: built once, read by every worker's lab.
-	var plane *cryptoPlane
-	if !cfg.ColdCrypto {
-		var err error
-		plane, err = newCryptoPlane(cfg, w)
-		if err != nil {
-			return nil, err
-		}
+	plane, err := newCryptoPlane(cfg, w)
+	if err != nil {
+		return nil, err
 	}
-	return runOnWorldWithPlane(cfg, w, plane)
+	return runOnWorldWithPlane(cfg, w, plane, nil)
 }
 
-func runOnWorldWithPlane(cfg Config, w *worldgen.World, plane *cryptoPlane) (*Study, error) {
+// runOnWorldWithPlane runs the study over plane (nil: cold crypto),
+// streaming results into j and replaying the ones it holds (nil: no
+// journal).
+func runOnWorldWithPlane(cfg Config, w *worldgen.World, plane *cryptoPlane, j *studyJournal) (*Study, error) {
 	s := &Study{Cfg: cfg, World: w, results: make(map[string]*AppResult)}
-	cfg.Journal.arm(cfg.Kill)
 
 	// Apps already in the journal are replayed here instead of scheduled —
 	// per-app results are pure functions of (seed, app), so a replayed
@@ -367,7 +364,7 @@ func runOnWorldWithPlane(cfg Config, w *worldgen.World, plane *cryptoPlane) (*St
 	var replayErr error
 	for _, item := range studyWork(w) {
 		key := item.key()
-		if data, ok := cfg.Journal.replayed(key); ok {
+		if data, ok := j.replayed(key); ok {
 			res, err := decodeAppResult(data, item.app)
 			if err != nil {
 				replayErr = errors.Join(replayErr, err)
@@ -436,7 +433,7 @@ func runOnWorldWithPlane(cfg Config, w *worldgen.World, plane *cryptoPlane) (*St
 					// process dies before the map insert) must also be
 					// harmless — and it is, because a killed run discards
 					// the in-memory study entirely.
-					if err := cfg.Journal.append(key, res); err != nil {
+					if err := j.append(key, res); err != nil {
 						fail(err)
 						return
 					}

@@ -127,9 +127,13 @@ type RunOptions struct {
 	Faults *faultinject.RunFaults
 }
 
+// DefaultWindow is the capture window, in seconds, of a run that sets
+// none: the paper's 30 s.
+const DefaultWindow = 30
+
 func (o RunOptions) withDefaults() RunOptions {
 	if o.Window == 0 {
-		o.Window = 30
+		o.Window = DefaultWindow
 	}
 	return o
 }

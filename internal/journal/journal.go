@@ -221,6 +221,10 @@ type Recovery struct {
 // Recover scans a journal, verifies every frame checksum, truncates a torn
 // tail, and returns the verified content. Every byte of Meta and Results
 // has passed its CRC: Recover never returns unverified data.
+//
+// Recover holds the whole journal in memory; the runners resume through
+// the streaming Reader + ResumeWriter instead, and Recover stays as the
+// reference FuzzJournalRecover holds Reader to.
 func Recover(path string) (*Recovery, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -301,8 +305,8 @@ func (r *Recovery) AppendTo(path string) (*Writer, error) {
 // the file is truncated at validSize (cutting any torn tail) and the
 // returned writer continues numbering after frames recovered results.
 // OpenReader + ResumeWriter is the bounded-memory equivalent of
-// Recover + AppendTo: a shard takeover can resume a dead worker's journal
-// without ever holding more than one frame in memory.
+// Recover + AppendTo, and the path every resume takes: a study rerun, a
+// timeline point, and a shard takeover resuming a dead worker's journal.
 func ResumeWriter(path string, frames int, validSize int64) (*Writer, error) {
 	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
 	if err != nil {

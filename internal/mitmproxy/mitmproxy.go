@@ -140,11 +140,13 @@ func (p *Proxy) forgedChain(host string) (pki.Chain, error) {
 	if shared != nil {
 		// Key by issuing authority as well as hostname so one store can
 		// serve proxies with distinct CAs without collisions. The authority
-		// is identified by its SPKI, not its certificate bytes: a CA
-		// re-derived from the same seed carries the same key but a fresh
-		// (nondeterministic) self-signature, and forged leaves depend only
-		// on the key — so SPKI keying lets re-derived proxies share leaves
-		// a previous study already paid to issue.
+		// is identified by its SPKI, not its certificate bytes: a forged
+		// leaf depends on the CA's key and name, not on the CA
+		// certificate's own serial, validity or signature, so a CA
+		// re-signed under the same key shares the leaves already issued.
+		// SPKI is also how the project names a CA everywhere identity must
+		// outlive re-signing (DESIGN.md, "Fingerprints are SPKI hashes"),
+		// and its digest is memoized per certificate.
 		sum := pki.SPKIDigest(p.ca.Cert, pki.SHA256)
 		return shared.GetOrIssue(string(sum)+"|leaf/"+host, issue)
 	}

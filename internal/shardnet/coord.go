@@ -78,14 +78,14 @@ type Config struct {
 	// sized for the simulated network; TCP callers pass wall-clock
 	// nanoseconds).
 	LeaseTTL int64
-	// SendRetries is how many times a coordinator→worker send is retried
-	// before the connection is declared dead (0 = default 3).
-	SendRetries int
-	// BackoffSeed/BackoffBase parameterize the jittered send backoff;
-	// BackoffBase is in clock units (0 = LeaseTTL/8).
+	// BackoffSeed seeds the jittered send backoff, which starts at
+	// LeaseTTL/8 and caps at 4·LeaseTTL.
 	BackoffSeed int64
-	BackoffBase int64
 }
+
+// sendRetries is how many times a coordinator→worker send is retried
+// before the connection is declared dead.
+const sendRetries = 3
 
 // DefaultSimTTL is the default lease TTL in simulated-network ticks,
 // equal to faultinject.NetTTL so derived delay and partition windows
@@ -148,7 +148,6 @@ type coordEvent struct {
 type Coordinator struct {
 	cfg     Config
 	ttl     int64
-	retries int
 	backoff *Backoff
 
 	inbox      chan coordEvent
@@ -189,19 +188,10 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if ttl <= 0 {
 		ttl = DefaultSimTTL
 	}
-	retries := cfg.SendRetries
-	if retries <= 0 {
-		retries = 3
-	}
-	base := cfg.BackoffBase
-	if base <= 0 {
-		base = ttl / 8
-	}
 	c := &Coordinator{
 		cfg:        cfg,
 		ttl:        ttl,
-		retries:    retries,
-		backoff:    NewBackoff(cfg.BackoffSeed, "coord-send", base, 4*ttl),
+		backoff:    NewBackoff(cfg.BackoffSeed, "coord-send", ttl/8, 4*ttl),
 		inbox:      make(chan coordEvent, 64),
 		quit:       make(chan struct{}),
 		acceptDone: make(chan struct{}),
@@ -450,7 +440,7 @@ func (c *Coordinator) outboxLoop(cc *coordConn) {
 // write deadlines); this layer spaces the attempts.
 func (c *Coordinator) retrySend(cc *coordConn, f Frame) error {
 	var err error
-	for attempt := 1; attempt <= c.retries; attempt++ {
+	for attempt := 1; attempt <= sendRetries; attempt++ {
 		c.statsMu.Lock()
 		c.stats.SendRetries++
 		c.statsMu.Unlock()
@@ -476,7 +466,7 @@ func (c *Coordinator) retrySend(cc *coordConn, f Frame) error {
 			return nil
 		}
 	}
-	return fmt.Errorf("shardnet: conn %d send failed after %d attempts: %w", cc.id, c.retries+1, err)
+	return fmt.Errorf("shardnet: conn %d send failed after %d attempts: %w", cc.id, sendRetries+1, err)
 }
 
 // enqueue hands a frame to the connection's outbox without ever blocking

@@ -216,13 +216,10 @@ type Backoff struct {
 }
 
 // NewBackoff builds a backoff policy. base and max are in clock units;
-// non-positive values fall back to 1 and 64·base.
+// a non-positive base falls back to 1.
 func NewBackoff(seed int64, scope string, base, max int64) *Backoff {
 	if base <= 0 {
 		base = 1
-	}
-	if max <= 0 {
-		max = 64 * base
 	}
 	return &Backoff{seed: seed, scope: scope, base: base, max: max}
 }

@@ -38,11 +38,10 @@ type WorkerOptions struct {
 	// Reconnects is the total dial/connection-failure budget before the
 	// worker gives up (0 = 8).
 	Reconnects int
-	// BackoffSeed/Base/Max parameterize the reconnect backoff; Scope
-	// decorrelates it across workers (defaults: base 2, max 64·base).
+	// BackoffSeed/Base parameterize the reconnect backoff, which caps at
+	// 64·base; Scope decorrelates it across workers (default base 2).
 	BackoffSeed int64
 	BackoffBase int64
-	BackoffMax  int64
 	Scope       string
 	// KillTap, when set, is consulted before each result send; returning
 	// kill = true makes the worker die mid-stream — over TCP it writes
@@ -76,7 +75,7 @@ func RunWorker(d Dialer, opt WorkerOptions) error {
 	if base <= 0 {
 		base = 2
 	}
-	backoff := NewBackoff(opt.BackoffSeed, "worker/"+opt.Scope, base, opt.BackoffMax)
+	backoff := NewBackoff(opt.BackoffSeed, "worker/"+opt.Scope, base, 64*base)
 
 	var bench Bench
 	failures := 0

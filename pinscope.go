@@ -59,13 +59,11 @@ type Config struct {
 	// JournalPath, when set, streams every completed per-app result into an
 	// append-only, checksummed write-ahead journal at this path, making the
 	// run crash-only: kill the process at any instant and the journaled
-	// results survive.
+	// results survive. A journal already at the path, from a killed run
+	// with an identical configuration, is resumed: its results replay
+	// instead of being re-measured, and the finished study's export is
+	// byte-identical to an uninterrupted run's.
 	JournalPath string
-	// Resume replays the results already in JournalPath (from a previous,
-	// killed run with an identical configuration) instead of re-measuring
-	// those apps. The finished study's export is byte-identical to an
-	// uninterrupted run's.
-	Resume bool
 	// KillAfter, when positive, simulates a power cut for crash-recovery
 	// testing: the run aborts after KillAfter results reach the journal,
 	// leaving KillTorn bytes of the interrupted frame on disk. Requires
@@ -125,11 +123,7 @@ func (c Config) toCore() core.Config {
 		CommonSize: c.CommonSize, PopularSize: c.PopularSize, RandomSize: c.RandomSize,
 		StoreAndroid: c.StoreAndroid, StoreIOS: c.StoreIOS,
 	})
-	win := c.Window
-	if win == 0 {
-		win = 30
-	}
-	cc := core.Config{Params: p, Window: win, Workers: c.Workers, ColdCrypto: c.ColdCrypto}
+	cc := core.Config{Params: p, Window: c.Window, Workers: c.Workers, ColdCrypto: c.ColdCrypto}
 	if c.FaultRate > 0 {
 		cc.Faults = faultinject.NewPlan(p.Seed, faultinject.Uniform(c.FaultRate))
 		cc.Retries = c.Retries
@@ -137,10 +131,15 @@ func (c Config) toCore() core.Config {
 			cc.Retries = 2
 		}
 	}
-	if c.KillAfter > 0 {
-		cc.Kill = &faultinject.ProcessKill{AfterResults: c.KillAfter, TornBytes: c.KillTorn}
-	}
 	return cc
+}
+
+// kill is the power cut KillAfter and KillTorn arm, or nil.
+func (c Config) kill() *faultinject.ProcessKill {
+	if c.KillAfter <= 0 {
+		return nil
+	}
+	return &faultinject.ProcessKill{AfterResults: c.KillAfter, TornBytes: c.KillTorn}
 }
 
 // Platform identifies a mobile OS in the public API.
@@ -158,14 +157,15 @@ type Study struct {
 
 // Run executes the full study for the configuration. With JournalPath set
 // the run is crash-only: results stream into the journal as they complete,
-// and Resume replays a killed run's journal instead of starting over.
+// and rerunning over a killed run's journal continues it instead of
+// starting over.
 func Run(cfg Config) (*Study, error) {
 	var (
 		s   *core.Study
 		err error
 	)
 	if cfg.JournalPath != "" {
-		s, err = core.RunJournaled(cfg.toCore(), cfg.JournalPath, cfg.Resume)
+		s, err = core.RunJournaled(cfg.toCore(), cfg.JournalPath, cfg.kill())
 	} else {
 		s, err = core.Run(cfg.toCore())
 	}
@@ -180,7 +180,7 @@ func Run(cfg Config) (*Study, error) {
 func (st *Study) Resumed() int { return st.s.Resumed }
 
 // IsKilled reports whether err is an injected process kill (KillAfter): the
-// run died by design, its journal is intact, and a Resume run continues it.
+// run died by design, its journal is intact, and rerunning continues it.
 func IsKilled(err error) bool { return errors.Is(err, journal.ErrKilled) }
 
 // Section names the renderable experiment sections.
@@ -469,13 +469,6 @@ type ShardOptions struct {
 	// (RunShardedTCP) carries torn bytes; the simulated network simply
 	// severs the connection.
 	KillTorn int
-	// NetChaosRate, for RunSharded, derives a seeded network fault plan
-	// for its simulated network — delayed, dropped, and duplicated
-	// frames, plus partitions long enough to expire a lease — at this
-	// rate on top of any explicit Kills. 0 injects nothing; the plan is
-	// capped so at least one shard always makes progress. Ignored by
-	// RunShardedTCP and ServeShards (a real wire is not simulated).
-	NetChaosRate float64
 }
 
 // ShardKill names one injected shard death: the holder of Slice dies right
@@ -522,18 +515,17 @@ type ShardStats struct {
 // (injected via opts.Kills or a real crash killing the process), rerunning
 // with the same configuration resumes from the journals; MergeShards then
 // produces a dataset byte-identical to an unsharded Run + ExportDataset of
-// the same Config — under opts.NetChaosRate's network faults too.
+// the same Config.
 func RunSharded(cfg Config, opts ShardOptions) (*ShardStats, error) {
 	cc := cfg.toCore()
 	if cfg.JournalPath != "" || cfg.KillAfter > 0 {
 		return nil, errors.New("pinscope: sharded runs journal per shard; JournalPath and KillAfter do not apply")
 	}
 	stats, err := core.RunSharded(cc, core.ShardedConfig{
-		Shards:       opts.Shards,
-		Workers:      opts.Workers,
-		Dir:          opts.Dir,
-		Faults:       opts.plan(opts.KillTorn),
-		NetChaosRate: opts.NetChaosRate,
+		Shards:  opts.Shards,
+		Workers: opts.Workers,
+		Dir:     opts.Dir,
+		Faults:  opts.plan(opts.KillTorn),
 	})
 	if stats == nil {
 		return nil, err
@@ -641,7 +633,8 @@ type TimelineOptions struct {
 	Dir string
 	// KillAtPoint arms Config.KillAfter for only the named point, so a
 	// crash drill can cut the sweep mid-timeline after earlier points
-	// completed. Empty arms it everywhere.
+	// completed. Empty arms it at every point. Only journaled sweeps
+	// (Dir set) can be cut.
 	KillAtPoint string
 }
 
@@ -659,7 +652,7 @@ func RunTimeline(cfg Config, opts TimelineOptions) (*TimelineStudy, error) {
 		return nil, errors.New("pinscope: timeline runs journal per point; use TimelineOptions.Dir, not JournalPath")
 	}
 	ls, err := core.RunLongitudinal(cfg.toCore(), core.TimelineConfig{
-		Points: opts.Points, Dir: opts.Dir, KillAtPoint: opts.KillAtPoint,
+		Points: opts.Points, Dir: opts.Dir, Kill: cfg.kill(), KillAtPoint: opts.KillAtPoint,
 	})
 	if err != nil {
 		return nil, err

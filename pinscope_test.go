@@ -2,6 +2,7 @@ package pinscope
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -47,6 +48,29 @@ func TestFullReport(t *testing.T) {
 	out := facadeStudy(t).FullReport()
 	if !strings.Contains(out, "Table 3") || !strings.Contains(out, "Figure 5") {
 		t.Fatal("full report incomplete")
+	}
+}
+
+// A journaled study killed mid-run and resumed by rerunning it must report
+// exactly what the uninterrupted study reports, not only export the same
+// dataset: every section reads the replayed results.
+func TestResumedStudyReportsLikeUninterrupted(t *testing.T) {
+	cfg := MiniConfig(2024)
+	cfg.JournalPath = filepath.Join(t.TempDir(), "run.wal")
+	killed := cfg
+	killed.KillAfter, killed.KillTorn = 200, 5
+	if _, err := Run(killed); !IsKilled(err) {
+		t.Fatalf("killed run returned %v, want an injected kill", err)
+	}
+	resumed, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := resumed.Resumed(); n != 200 {
+		t.Fatalf("resumed run replayed %d results, want 200", n)
+	}
+	if resumed.FullReport() != facadeStudy(t).FullReport() {
+		t.Fatal("resumed study's full report differs from the uninterrupted study's")
 	}
 }
 
@@ -104,8 +128,13 @@ func TestConfigDefaults(t *testing.T) {
 	if cc.Params.CommonSize != 575 || cc.Params.PopularSize != 1000 {
 		t.Fatalf("defaults not applied: %+v", cc.Params)
 	}
-	if cc.Window != 30 {
-		t.Fatalf("window default: %v", cc.Window)
+	// The window passes through unset: core applies the device default
+	// where it records the window (TestUnsetWindowRecordsTheDefault).
+	if cc.Window != 0 {
+		t.Fatalf("unset window became %v", cc.Window)
+	}
+	if w := (Config{Seed: 5, Window: 45}).toCore().Window; w != 45 {
+		t.Fatalf("window 45 became %v", w)
 	}
 	mini := MiniConfig(5).toCore()
 	if mini.Params.PopularCut >= 12000 {

@@ -73,10 +73,12 @@ go test -shuffle=on ./...
 # skipped under -race — they re-run work the shuffled pass above already
 # covered and their cost multiplies badly under the race detector; the
 # concurrency they exercise is still raced through the remaining tests of
-# the same packages.
+# the same packages. TestRepoIsClean is skipped too: it lints the tree,
+# which the pinlint step and the shuffled pass already did, and
+# internal/lint starts no goroutine, so racing it checks nothing.
 echo "==> go test -race ./..."
 go test -race -timeout 20m \
-    -skip 'TestFaultedStudyIsDeterministicAcrossSchedules|TestStudySurvivesHeavyFaults|TestKillAtEveryFrameBoundaryThenResume|TestDegradationAndQuarantinePaths' \
+    -skip 'TestFaultedStudyIsDeterministicAcrossSchedules|TestStudySurvivesHeavyFaults|TestKillAtEveryFrameBoundaryThenResume|TestDegradationAndQuarantinePaths|TestRepoIsClean' \
     ./...
 
 # Shard-fleet smoke, race-checked: a sharded run must merge byte-identical
