@@ -468,14 +468,10 @@ func BenchmarkStudyShardedEndToEnd(b *testing.B) {
 	// the canonical dataset — scripts/bench.sh records the ratio to the
 	// single-shard benchmark as speedup_vs_single_shard (≈1 on a
 	// single-core runner, where extra workers add only coordination).
-	faults := &faultinject.ShardPlan{
-		Kills: []faultinject.ShardKill{
-			{Slice: 1, AfterResults: 2, TornBytes: 7},
-			{Slice: 3, AfterResults: 1, TornBytes: 13},
-		},
-		Net: &faultinject.NetChaos{Partitions: []faultinject.NetPartition{
-			{Slice: 2, AfterItem: 1, Ticks: 3 * faultinject.NetTTL / 2},
-		}},
+	faults := faultinject.ShardPlan{
+		{Slice: 1, Item: 2}: {Kill: true, TornBytes: 7},
+		{Slice: 3, Item: 1}: {Kill: true, TornBytes: 13},
+		{Slice: 2, Item: 1}: {Partition: 3 * faultinject.NetTTL / 2},
 	}
 	for i := 0; i < b.N; i++ {
 		benchSharded(b, 4, 4, faults)
@@ -483,7 +479,7 @@ func BenchmarkStudyShardedEndToEnd(b *testing.B) {
 }
 
 // benchSharded runs one sharded study iteration: run, merge, discard.
-func benchSharded(b *testing.B, shards, workers int, faults *faultinject.ShardPlan) {
+func benchSharded(b *testing.B, shards, workers int, faults faultinject.ShardPlan) {
 	b.Helper()
 	cfg := core.TestConfig(9001) // same seed as BenchmarkStudyEndToEnd: comparable work
 	dir, err := os.MkdirTemp("", "pinscope-bench-shard-*")

@@ -119,7 +119,7 @@ func main() {
 		return
 	}
 	if *shardListen != "" {
-		runShardServe(cfg, *shards, *jpath, *workers, *shardListen)
+		runShardServe(cfg, *shards, *jpath, *shardListen)
 		return
 	}
 	if *shards > 0 || *merge || *shardKill != "" {
@@ -377,7 +377,9 @@ func runSharded(cfg pinscope.Config, shards int, shardKill string, killTorn int,
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pinstudy: %v\n", err)
-		fmt.Fprintf(os.Stderr, "pinstudy: shard journals survive in %s; rerun without -shard-kill to resume\n", dir)
+		if stats != nil { // the coordinator ran, so journals may exist
+			fmt.Fprintf(os.Stderr, "pinstudy: shard journals survive in %s; rerun without -shard-kill to resume\n", dir)
+		}
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "pinstudy: sharded run complete in %s; merge with -shards %d -merge\n",
@@ -387,7 +389,7 @@ func runSharded(cfg pinscope.Config, shards int, shardKill string, killTorn int,
 // runShardServe handles -shard-listen: the coordinator half of a
 // cross-machine sharded run. Workers join with -shard-connect; the run
 // resumes from the journals if interrupted, and -merge folds the result.
-func runShardServe(cfg pinscope.Config, shards int, dir string, workers int, addr string) {
+func runShardServe(cfg pinscope.Config, shards int, dir string, addr string) {
 	if shards <= 0 {
 		fmt.Fprintln(os.Stderr, "pinstudy: -shard-listen requires -shards")
 		os.Exit(2)
@@ -399,9 +401,7 @@ func runShardServe(cfg pinscope.Config, shards int, dir string, workers int, add
 	start := time.Now()
 	fmt.Fprintf(os.Stderr, "pinstudy: serving sharded study (seed %d): %d shards on %s, journals in %s...\n",
 		cfg.Seed, shards, addr, dir)
-	stats, err := pinscope.ServeShards(cfg, pinscope.ShardOptions{
-		Shards: shards, Workers: workers, Dir: dir,
-	}, addr)
+	stats, err := pinscope.ServeShards(cfg, pinscope.ShardOptions{Shards: shards, Dir: dir}, addr)
 	if stats != nil {
 		fmt.Fprintf(os.Stderr, "pinstudy: %d worker conns / %d shards: %d leases expired, %d slices reassigned, %d results resumed, %d duplicates dropped, %d zombie frames fenced\n",
 			stats.Workers, stats.Shards, stats.LeasesExpired, stats.Reassigned,

@@ -138,7 +138,7 @@ func shardDrill(cfg Config, rate float64, s *Study) (*ShardDrill, error) {
 	}
 	defer os.RemoveAll(dir)
 	sc := ShardedConfig{Shards: drillShards, Workers: drillShards, Dir: dir, Faults: plan}
-	stats, err := runShardedOn(cfg, sc, s.World)
+	stats, err := runShards(cfg, sc, s.World, "", true)
 	if err != nil {
 		return nil, fmt.Errorf("core: chaos shard drill at rate %g: %w", rate, err)
 	}
@@ -153,5 +153,13 @@ func shardDrill(cfg Config, rate float64, s *Study) (*ShardDrill, error) {
 		return nil, fmt.Errorf("core: chaos shard drill at rate %g: merged export diverges from the point's own export (%d vs %d bytes)",
 			rate, merged.Len(), single.Len())
 	}
-	return &ShardDrill{Stats: *stats, NetFaults: plan.Net.Faults(), ByteIdentical: true}, nil
+	netFaults := 0
+	for _, ff := range plan {
+		for _, hit := range []bool{ff.Delay > 0, ff.Drop, ff.Dup, ff.Partition > 0} {
+			if hit {
+				netFaults++
+			}
+		}
+	}
+	return &ShardDrill{Stats: *stats, NetFaults: netFaults, ByteIdentical: true}, nil
 }

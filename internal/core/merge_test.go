@@ -144,7 +144,7 @@ func TestInProcessFleetsBuildOneWorld(t *testing.T) {
 	}{
 		{"RunSharded", func(sc ShardedConfig) error { _, err := RunSharded(cfg, sc); return err }, 1},
 		{"RunShardedTCP", func(sc ShardedConfig) error { _, err := RunShardedTCP(cfg, sc); return err }, 1},
-		{"runShardedOn", func(sc ShardedConfig) error { _, err := runShardedOn(cfg, sc, w); return err }, 0},
+		{"runShards on a given world", func(sc ShardedConfig) error { _, err := runShards(cfg, sc, w, "", true); return err }, 0},
 	}
 	for _, r := range runs {
 		before := worldgen.Builds()

@@ -6,10 +6,12 @@ package core
 // internal/shardnet's coordinator hands the slices to workers under
 // crash-tolerant leases and journals each slice through the same WAL the
 // single-process runner uses. RunSharded runs the fleet in this process,
-// over shardnet's simulated network: frames pass in memory, and a fault
-// plan can batter them. The fleet builds its world once: every in-process
-// worker measures against that one world and one crypto plane, adding
-// only its private lab and prober.
+// over shardnet's simulated network: frames pass in memory, and the run's
+// fault table (faultinject.ShardPlan: kills and network faults keyed by
+// result frame, armed once per run so each fires once) can batter them.
+// The fleet builds its world once: every in-process worker measures
+// against that one world and one crypto plane, adding only its private
+// lab and prober.
 //
 // Each slice journal record is self-contained. Besides the measured
 // result it carries the app's export header, its dataset membership and
@@ -26,7 +28,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 
 	"pinscope/internal/faultinject"
 	"pinscope/internal/shardnet"
@@ -35,18 +36,20 @@ import (
 
 // ShardedConfig parameterizes a sharded run of a study Config.
 type ShardedConfig struct {
-	// Shards is the slice count; Workers (0 = one per shard) the worker
-	// pool measuring them.
+	// Shards is the slice count; Workers (0 = one per shard) the
+	// in-process worker pool measuring them (ServeShards, whose workers
+	// are whoever connects, does not read it).
 	Shards  int
 	Workers int
 	// Dir holds the slice journals (shard-NNN.wal), created if missing.
 	// Rerunning over an interrupted run's directory resumes from the
 	// journals instead of recomputing.
 	Dir string
-	// Faults is the deterministic shard fault plan: worker kills, and for
-	// RunSharded the simulated network's faults. Nil injects nothing;
-	// faultinject.DeriveShardPlan seeds one from (seed, rate, slice sizes).
-	Faults *faultinject.ShardPlan
+	// Faults is the deterministic shard fault table, keyed by result
+	// frame: worker kills, and for RunSharded the simulated network's
+	// faults. Nil injects nothing; faultinject.DeriveShardPlan seeds one
+	// from (seed, rate, slice sizes).
+	Faults faultinject.ShardPlan
 }
 
 // shardMeta is a slice journal's header: the full run configuration plus
@@ -116,8 +119,7 @@ func shardSlices(cfg Config, sc ShardedConfig, ranges [][2]int) ([]shardnet.Slic
 }
 
 // prepareShardRun checks a sharded run's arguments and creates its
-// journal directory; every sharded entry point calls it before any world
-// is built.
+// journal directory; runShards calls it before any world is built.
 func prepareShardRun(sc ShardedConfig) error {
 	if sc.Shards <= 0 {
 		return errors.New("core: sharded run needs at least one shard")
@@ -198,55 +200,11 @@ func (b *shardBench) RunItem(slice, item int) ([]byte, error) {
 // RunSharded executes the study as sc.Shards crash-only slices under the
 // lease coordinator, with an in-process worker fleet on shardnet's
 // simulated network, leaving one complete journal per slice in sc.Dir.
-// The plan's network faults (sc.Faults.Net) batter the simulated wire;
-// its kills become mid-stream worker deaths. It does not build a Study:
-// the deliverable of a sharded run is its journals, folded into an export
-// by MergeShards. If the run is killed (injected or real), rerunning with
-// the same arguments resumes every slice from its journal.
+// The plan's network faults batter the simulated wire; its kills become
+// mid-stream worker deaths. It does not build a Study: the deliverable of
+// a sharded run is its journals, folded into an export by MergeShards. If
+// the run is killed (injected or real), rerunning with the same arguments
+// resumes every slice from its journal.
 func RunSharded(cfg Config, sc ShardedConfig) (*shardnet.Stats, error) {
-	return runShardedOn(cfg, sc, nil)
-}
-
-// runShardedOn is RunSharded against an existing world (nil builds one
-// once the arguments check out). The world is only read, so a caller may
-// share it — the chaos drill reruns a point on the point's own world.
-func runShardedOn(cfg Config, sc ShardedConfig, w *worldgen.World) (*shardnet.Stats, error) {
-	nr, err := netRunSetup(cfg, sc, w)
-	if err != nil {
-		return nil, err
-	}
-	newBench, err := nr.localFleet()
-	if err != nil {
-		return nil, err
-	}
-	net := shardnet.NewSimNet(sc.Faults.NetFaults())
-	coord, err := shardnet.NewCoordinator(shardnet.Config{
-		Listener:    net.Listener(),
-		Clock:       net,
-		Slices:      nr.slices,
-		RunConfig:   nr.rc,
-		BackoffSeed: cfg.Params.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	kill := sc.Faults.KillTap()
-	return shardnet.RunFleet(coord, fleetSize(sc), func(i int) error {
-		return shardnet.RunWorker(net.Dialer(), shardnet.WorkerOptions{
-			Clock:       net,
-			NewBench:    newBench,
-			Reconnects:  16,
-			BackoffSeed: cfg.Params.Seed,
-			Scope:       "sim/" + strconv.Itoa(i),
-			KillTap:     kill,
-		})
-	})
-}
-
-// fleetSize is the worker count of an in-process fleet.
-func fleetSize(sc ShardedConfig) int {
-	if sc.Workers > 0 {
-		return sc.Workers
-	}
-	return sc.Shards
+	return runShards(cfg, sc, nil, "", true)
 }

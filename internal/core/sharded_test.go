@@ -91,14 +91,10 @@ func TestShardedRunMergesByteIdentical(t *testing.T) {
 		Shards:  4,
 		Workers: 4,
 		Dir:     t.TempDir(),
-		Faults: &faultinject.ShardPlan{
-			Kills: []faultinject.ShardKill{
-				{Slice: 1, AfterResults: 1, TornBytes: 9},
-				{Slice: 3, AfterResults: 2, TornBytes: 3},
-			},
-			Net: &faultinject.NetChaos{Partitions: []faultinject.NetPartition{
-				{Slice: 2, AfterItem: 1, Ticks: 3 * faultinject.NetTTL / 2},
-			}},
+		Faults: faultinject.ShardPlan{
+			{Slice: 1, Item: 1}: {Kill: true, TornBytes: 9},
+			{Slice: 3, Item: 2}: {Kill: true, TornBytes: 3},
+			{Slice: 2, Item: 1}: {Partition: 3 * faultinject.NetTTL / 2},
 		},
 	}
 	merged := shardedExport(t, shardedCfg, sc)
@@ -146,8 +142,14 @@ func TestShardedDerivedPlanMergesByteIdentical(t *testing.T) {
 		items[i] = rg[1]
 	}
 	plan := faultinject.DeriveShardPlan(cfg.Params.Seed, 1.0, 4, items)
-	if plan == nil || len(plan.Kills) == 0 {
-		t.Fatalf("derived plan injected nothing: %+v", plan)
+	kills := 0
+	for _, ff := range plan {
+		if ff.Kill {
+			kills++
+		}
+	}
+	if kills == 0 {
+		t.Fatalf("derived plan killed no worker: %+v", plan)
 	}
 	sc := ShardedConfig{Shards: 4, Workers: 4, Dir: t.TempDir(), Faults: plan}
 	merged := shardedExport(t, shardedCfg, sc)
@@ -167,7 +169,7 @@ func TestShardedRerunResumesInterruptedRun(t *testing.T) {
 	shardedCfg.Workers = 0
 	dir := t.TempDir()
 	sc := ShardedConfig{Shards: 3, Workers: 1, Dir: dir,
-		Faults: &faultinject.ShardPlan{Kills: []faultinject.ShardKill{{Slice: 0, AfterResults: 2, TornBytes: 5}}}}
+		Faults: faultinject.ShardPlan{{Slice: 0, Item: 2}: {Kill: true, TornBytes: 5}}}
 	if _, err := RunSharded(shardedCfg, sc); err == nil {
 		t.Fatal("run with its only worker killed reported success")
 	}

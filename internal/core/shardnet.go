@@ -13,8 +13,10 @@ package core
 // held byte-identical to a single-process run by the chaos drill and the
 // public tests.
 //
-// ServeShards and ConnectShardWorker split coordinator and worker across
-// processes — the cross-machine recipe in the README.
+// All three transported runs share one body, runShards: the in-process
+// fleet on the simulated network (RunSharded) or on loopback TCP
+// (RunShardedTCP), and ServeShards, which runs the coordinator alone for
+// ConnectShardWorker processes — the cross-machine recipe in the README.
 
 import (
 	"encoding/json"
@@ -117,44 +119,13 @@ func benchFromRunConfig(raw []byte) (shardnet.Bench, error) {
 	return fleet.newBench()
 }
 
-// netRun is the shared front half of every transported run: the slice
-// list, the wire run config, and the world both were derived from.
-type netRun struct {
-	slices []shardnet.Slice
-	rc     []byte
-	w      *worldgen.World
-}
-
-// netRunSetup checks the arguments, builds the world unless the caller
-// passes one, and derives the slices and the wire run config from it.
-func netRunSetup(cfg Config, sc ShardedConfig, w *worldgen.World) (*netRun, error) {
-	if err := prepareShardRun(sc); err != nil {
-		return nil, err
-	}
-	if w == nil {
-		var err error
-		if w, err = worldgen.Build(cfg.Params); err != nil {
-			return nil, err
-		}
-	}
-	slices, err := shardSlices(cfg, sc, sliceRanges(len(studyWork(w)), sc.Shards))
-	if err != nil {
-		return nil, err
-	}
-	rc, err := encodeNetRunConfig(cfg, sc.Shards)
-	if err != nil {
-		return nil, err
-	}
-	return &netRun{slices: slices, rc: rc, w: w}, nil
-}
-
-// localFleet builds the in-process worker fleet of a transported run: one
-// shard fleet over the run's world, decoded from the same wire run config
-// every worker is shipped. Its NewBench still decodes and round-trip
+// localBench is the NewBench of an in-process fleet: one shard fleet over
+// the run's world w, decoded from the same wire run config rc every
+// worker is shipped. Each worker's bench still decodes and round-trip
 // verifies the Welcome payload, and refuses one naming a run other than
 // the one the shared world was built for.
-func (nr *netRun) localFleet() (func([]byte) (shardnet.Bench, error), error) {
-	fleet, err := fleetFromRunConfig(nr.rc, nr.w)
+func localBench(rc []byte, w *worldgen.World) (func([]byte) (shardnet.Bench, error), error) {
+	fleet, err := fleetFromRunConfig(rc, w)
 	if err != nil {
 		return nil, err
 	}
@@ -177,81 +148,99 @@ const (
 	tcpIdleTimeout = 500 * time.Millisecond
 )
 
+// runShards is the one body of every transported sharded run. It checks
+// the arguments, builds the world unless the caller passes one (the world
+// is only read, so the chaos drill reruns a point on the point's own
+// world), derives the slices and the wire run config from it, arms the
+// fault plan, and runs the coordinator: on shardnet's simulated network
+// when tcpAddr is empty, else listening on tcpAddr. With fleet set, an
+// in-process worker fleet sharing the world works the slices; without,
+// the workers are whoever connects (ServeShards).
+func runShards(cfg Config, sc ShardedConfig, w *worldgen.World, tcpAddr string, fleet bool) (*shardnet.Stats, error) {
+	if err := prepareShardRun(sc); err != nil {
+		return nil, err
+	}
+	if w == nil {
+		var err error
+		if w, err = worldgen.Build(cfg.Params); err != nil {
+			return nil, err
+		}
+	}
+	slices, err := shardSlices(cfg, sc, sliceRanges(len(studyWork(w)), sc.Shards))
+	if err != nil {
+		return nil, err
+	}
+	rc, err := encodeNetRunConfig(cfg, sc.Shards)
+	if err != nil {
+		return nil, err
+	}
+	var newBench func([]byte) (shardnet.Bench, error)
+	if fleet {
+		if newBench, err = localBench(rc, w); err != nil {
+			return nil, err
+		}
+	}
+	faults := sc.Faults.Arm()
+	ccfg := shardnet.Config{Slices: slices, RunConfig: rc, BackoffSeed: cfg.Params.Seed}
+	wopt := shardnet.WorkerOptions{
+		NewBench:    newBench,
+		Reconnects:  16,
+		BackoffSeed: cfg.Params.Seed,
+		KillTap:     faults.Kill,
+	}
+	var dialer shardnet.Dialer
+	if tcpAddr == "" {
+		net := shardnet.NewSimNet(faults)
+		ccfg.Listener, ccfg.Clock = net.Listener(), net
+		dialer, wopt.Clock, wopt.Scope = net.Dialer(), net, "sim/"
+	} else {
+		ln, err := shardnet.ListenTCP(tcpAddr, shardnet.TCPOptions{})
+		if err != nil {
+			return nil, err
+		}
+		ccfg.Listener, ccfg.Clock, ccfg.LeaseTTL = ln, shardnet.WallClock(), int64(tcpLeaseTTL)
+		dialer = shardnet.TCPDialer{Addr: ln.Addr()}
+		wopt.Clock, wopt.IdleTimeout, wopt.Scope = shardnet.WallClock(), int64(tcpIdleTimeout), "tcp/"
+		wopt.BackoffBase = int64(50 * time.Millisecond)
+	}
+	coord, err := shardnet.NewCoordinator(ccfg)
+	if err != nil {
+		ccfg.Listener.Close()
+		return nil, err
+	}
+	if !fleet {
+		return coord.Run()
+	}
+	workers := sc.Workers
+	if workers <= 0 {
+		workers = sc.Shards
+	}
+	return shardnet.RunFleet(coord, workers, func(i int) error {
+		opt := wopt
+		opt.Scope += strconv.Itoa(i)
+		return shardnet.RunWorker(dialer, opt)
+	})
+}
+
 // RunShardedTCP is RunSharded over real loopback TCP: the coordinator
 // listens on 127.0.0.1, the worker fleet dials it, and every frame
-// crosses an actual socket. Network chaos is not injected — the wire is
-// real — but injected worker kills still fire, leaving torn wire frames
-// the receiver's framing must reject.
+// crosses an actual socket. The plan's network faults are not injected —
+// the wire is real — but its worker kills still fire, leaving torn wire
+// frames the receiver's framing must reject.
 func RunShardedTCP(cfg Config, sc ShardedConfig) (*shardnet.Stats, error) {
-	nr, err := netRunSetup(cfg, sc, nil)
-	if err != nil {
-		return nil, err
-	}
-	newBench, err := nr.localFleet()
-	if err != nil {
-		return nil, err
-	}
-	ln, err := shardnet.ListenTCP("127.0.0.1:0", shardnet.TCPOptions{})
-	if err != nil {
-		return nil, err
-	}
-	coord, err := shardnet.NewCoordinator(shardnet.Config{
-		Listener:    ln,
-		Clock:       shardnet.WallClock(),
-		Slices:      nr.slices,
-		RunConfig:   nr.rc,
-		LeaseTTL:    int64(tcpLeaseTTL),
-		BackoffSeed: cfg.Params.Seed,
-	})
-	if err != nil {
-		ln.Close()
-		return nil, err
-	}
-	kill := sc.Faults.KillTap()
-	addr := ln.Addr()
-	return shardnet.RunFleet(coord, fleetSize(sc), func(i int) error {
-		return shardnet.RunWorker(shardnet.TCPDialer{Addr: addr}, shardnet.WorkerOptions{
-			Clock:       shardnet.WallClock(),
-			NewBench:    newBench,
-			IdleTimeout: int64(tcpIdleTimeout),
-			Reconnects:  16,
-			BackoffSeed: cfg.Params.Seed,
-			BackoffBase: int64(50 * time.Millisecond),
-			Scope:       "tcp/" + strconv.Itoa(i),
-			KillTap:     kill,
-		})
-	})
+	return runShards(cfg, sc, nil, "127.0.0.1:0", true)
 }
 
 // ServeShards runs the coordinator half of a cross-machine sharded study:
 // it listens on addr, ships every connecting worker the run config, and
 // returns when all slices are journaled in sc.Dir (merge them with
-// MergeShards). It waits for workers rather than failing when none are
-// connected, so workers may be started after — or restarted during — the
-// run; an interrupted serve resumes from the journals like any sharded
-// run.
+// MergeShards). The fleet is whoever connects: sc.Workers is not read, and
+// no fault plan reaches a remote worker. It waits for workers rather than
+// failing when none are connected, so workers may be started after — or
+// restarted during — the run; an interrupted serve resumes from the
+// journals like any sharded run.
 func ServeShards(cfg Config, sc ShardedConfig, addr string) (*shardnet.Stats, error) {
-	nr, err := netRunSetup(cfg, sc, nil)
-	if err != nil {
-		return nil, err
-	}
-	ln, err := shardnet.ListenTCP(addr, shardnet.TCPOptions{})
-	if err != nil {
-		return nil, err
-	}
-	coord, err := shardnet.NewCoordinator(shardnet.Config{
-		Listener:    ln,
-		Clock:       shardnet.WallClock(),
-		Slices:      nr.slices,
-		RunConfig:   nr.rc,
-		LeaseTTL:    int64(tcpLeaseTTL),
-		BackoffSeed: cfg.Params.Seed,
-	})
-	if err != nil {
-		ln.Close()
-		return nil, err
-	}
-	return coord.Run()
+	return runShards(cfg, sc, nil, addr, false)
 }
 
 // ConnectShardWorker runs the worker half of a cross-machine sharded

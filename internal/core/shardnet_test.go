@@ -42,14 +42,12 @@ func TestShardNetSimMergesByteIdentical(t *testing.T) {
 		Shards:  4,
 		Workers: 3,
 		Dir:     t.TempDir(),
-		Faults: &faultinject.ShardPlan{
-			Kills: []faultinject.ShardKill{{Slice: 2, AfterResults: 1, TornBytes: 7}},
-			Net: &faultinject.NetChaos{
-				Delays:     []faultinject.NetDelay{{Slice: 0, Item: 1, Ticks: faultinject.NetTTL / 2}},
-				Drops:      []faultinject.NetDrop{{Slice: 1, Item: 1}},
-				Dups:       []faultinject.NetDup{{Slice: 2, Item: 0}},
-				Partitions: []faultinject.NetPartition{{Slice: 3, AfterItem: 0, Ticks: 3 * faultinject.NetTTL / 2}},
-			},
+		Faults: faultinject.ShardPlan{
+			{Slice: 2, Item: 1}: {Kill: true, TornBytes: 7},
+			{Slice: 0, Item: 1}: {Delay: faultinject.NetTTL / 2},
+			{Slice: 1, Item: 1}: {Drop: true},
+			{Slice: 2, Item: 0}: {Dup: true},
+			{Slice: 3, Item: 0}: {Partition: 3 * faultinject.NetTTL / 2},
 		},
 	}
 	merged, stats := netShardedExport(t, RunSharded, shardedCfg, sc)
@@ -91,9 +89,7 @@ func TestShardNetTCPMergesByteIdentical(t *testing.T) {
 		Shards:  2,
 		Workers: 2,
 		Dir:     t.TempDir(),
-		Faults: &faultinject.ShardPlan{
-			Kills: []faultinject.ShardKill{{Slice: 1, AfterResults: 1, TornBytes: 5}},
-		},
+		Faults:  faultinject.ShardPlan{{Slice: 1, Item: 1}: {Kill: true, TornBytes: 5}},
 	}
 	merged, stats := netShardedExport(t, RunShardedTCP, shardedCfg, sc)
 	if !bytes.Equal(merged, single) {
@@ -121,7 +117,7 @@ func TestShardNetRerunResumesAfterFleetDeath(t *testing.T) {
 	shardedCfg.Workers = 0
 	dir := t.TempDir()
 	sc := ShardedConfig{Shards: 3, Workers: 1, Dir: dir,
-		Faults: &faultinject.ShardPlan{Kills: []faultinject.ShardKill{{Slice: 0, AfterResults: 2}}}}
+		Faults: faultinject.ShardPlan{{Slice: 0, Item: 2}: {Kill: true}}}
 	if _, err := RunSharded(shardedCfg, sc); err == nil {
 		t.Fatal("run with its only worker killed reported success")
 	} else if !strings.Contains(err.Error(), "all workers disconnected") {
@@ -157,8 +153,12 @@ func TestShardNetDerivedPlanMergesByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := faultinject.DeriveShardPlan(cfg.Params.Seed, 1.0, 4, sliceItems(sliceRanges(len(shardUniverse(w)), 4)))
-	if plan == nil || !plan.Net.Any() {
-		t.Fatalf("derived plan injected no network chaos: %+v", plan)
+	netFaults := false
+	for _, ff := range plan {
+		netFaults = netFaults || ff.Delay > 0 || ff.Drop || ff.Dup || ff.Partition > 0
+	}
+	if !netFaults {
+		t.Fatalf("derived plan injected no network fault: %+v", plan)
 	}
 	sc := ShardedConfig{Shards: 4, Workers: 4, Dir: t.TempDir(), Faults: plan}
 	merged, _ := netShardedExport(t, RunSharded, shardedCfg, sc)
@@ -174,20 +174,24 @@ func TestRemoteBenchAgreesWithLocalFleet(t *testing.T) {
 	// refuse a Welcome naming another run.
 	cfg := microCfg(69)
 	cfg.Workers = 0
-	nr, err := netRunSetup(cfg, ShardedConfig{Shards: 2, Dir: t.TempDir()}, nil)
+	w, err := worldgen.Build(cfg.Params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	newBench, err := nr.localFleet()
+	rc, err := encodeNetRunConfig(cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := newBench(nr.rc)
+	newBench, err := localBench(rc, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := newBench(rc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := worldgen.Builds()
-	remote, err := benchFromRunConfig(nr.rc)
+	remote, err := benchFromRunConfig(rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +212,7 @@ func TestRemoteBenchAgreesWithLocalFleet(t *testing.T) {
 		}
 		return string(b)
 	}
-	for slice, rg := range sliceRanges(len(studyWork(nr.w)), 2) {
+	for slice, rg := range sliceRanges(len(studyWork(w)), 2) {
 		for item := 0; item < rg[1]; item++ {
 			l, err := local.RunItem(slice, item)
 			if err != nil {
@@ -226,11 +230,11 @@ func TestRemoteBenchAgreesWithLocalFleet(t *testing.T) {
 
 	other := microCfg(70)
 	other.Window = 30
-	rc, err := encodeNetRunConfig(other, 2)
+	otherRC, err := encodeNetRunConfig(other, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := newBench(rc); err == nil || !strings.Contains(err.Error(), "different run") {
+	if _, err := newBench(otherRC); err == nil || !strings.Contains(err.Error(), "different run") {
 		t.Fatalf("local fleet given another run's Welcome: %v, want a different-run error", err)
 	}
 }

@@ -20,6 +20,7 @@ package faultinject
 
 import (
 	"fmt"
+	"maps"
 	"strconv"
 	"sync"
 
@@ -273,215 +274,139 @@ func (k *ProcessKill) Tap() func(i int) (tornBytes int, kill bool) {
 	}
 }
 
-// ShardKill is the shard-death member of the power-cut family: the worker
-// holding one slice of a sharded run dies right before sending result
-// AfterResults (0-based within the slice), so exactly AfterResults results
-// of its lease reach the coordinator. The cut is a pure function of the
-// result index — independent of which worker holds the lease or how the
-// scheduler interleaved them. Over TCP the dying worker first writes
-// TornBytes of the interrupted result frame, a torn wire frame the
-// receiver's framing must reject. The coordinator sees the connection die
-// and a survivor resumes the slice at its journal cursor.
-type ShardKill struct {
-	// Slice is the 0-based slice whose holder dies.
-	Slice int
-	// AfterResults is how many results of the slice reach the coordinator
-	// before the death.
-	AfterResults int
-	// TornBytes is how many bytes of the interrupted result frame go out
-	// on a TCP wire before the death.
-	TornBytes int
-}
-
-// NetTTL is the lease TTL, in logical network ticks, that the simulated
-// transport (internal/shardnet) uses by default. Network fault durations
-// are drawn relative to it so a derived delay or partition is guaranteed
-// to straddle at least one lease deadline — short enough to heal, long
-// enough that the takeover machinery actually fires.
+// NetTTL is the lease TTL, in logical ticks of the simulated transport
+// (internal/shardnet), that a coordinator uses unless given one. Network
+// fault durations are drawn relative to it so a derived delay or
+// partition is guaranteed to straddle at least one lease deadline —
+// short enough to heal, long enough that the takeover machinery actually
+// fires.
 const NetTTL = 64
 
-// NetDelay holds one slice's result frame in flight for Ticks of the
-// network clock while later frames (heartbeats included) overtake it —
-// the reordering drill: the lease must survive on heartbeats alone and
-// the coordinator must not write the late frame out of order.
-type NetDelay struct {
-	// Slice and Item name the result frame that is delayed.
-	Slice int
-	Item  int
-	// Ticks is the extra in-flight time on the network's logical clock.
-	Ticks int64
+// Frame names one result frame of a sharded run: result Item (0-based
+// within the slice) of slice Slice.
+type Frame struct{ Slice, Item int }
+
+// FrameFaults are the shard faults that hit one result frame. Each is a
+// pure function of the frame — independent of which worker holds the
+// lease or how the scheduler interleaved them.
+type FrameFaults struct {
+	// Kill is the shard-death member of the power-cut family: the worker
+	// sending the frame dies right before it, so exactly Item results of
+	// its lease reach the coordinator. Over TCP the dying worker first
+	// writes TornBytes of the frame, a torn wire frame the receiver's
+	// framing must reject. The coordinator sees the connection die and a
+	// survivor resumes the slice at its journal cursor.
+	Kill      bool
+	TornBytes int
+	// Drop silently discards the frame and severs the connection that
+	// carried it — a reliable stream is in-order-or-dead, so a lost frame
+	// means a dead conn. The worker must reconnect with backoff and be
+	// re-granted the slice at its resume point.
+	Drop bool
+	// Dup delivers the frame twice. The coordinator must admit it exactly
+	// once: the duplicate arrives after the original has advanced the
+	// slice cursor and is discarded as already journaled.
+	Dup bool
+	// Delay holds the frame in flight for that many extra ticks of the
+	// network clock while later frames (heartbeats included) overtake it
+	// — the reordering drill: the lease must survive on heartbeats alone
+	// and the coordinator must not write the late frame out of order.
+	Delay int64
+	// Partition silently drops every frame, both directions, on the
+	// connection sending this one — this frame included — for that many
+	// ticks of the network clock. Neither side learns the link is gone;
+	// only heartbeat silence does: the lease expires, a survivor takes
+	// over, and the healed zombie's stale-epoch frames must be fenced away
+	// from the slice WAL. This is the split-brain drill: two live workers
+	// believing they own one slice.
+	Partition int64
 }
 
-// NetDrop silently discards one slice's result frame and severs the
-// connection that carried it — a reliable stream is in-order-or-dead, so
-// a lost frame means a dead conn. The worker must reconnect with backoff
-// and be re-granted the slice at its resume point.
-type NetDrop struct {
-	Slice int
-	Item  int
-}
+// ShardPlan is the fault table of one sharded run: the faults that hit
+// each result frame. A nil plan injects nothing. Kills act in the worker,
+// so they fire on every transport; the network kinds are injected by the
+// simulated transport only. A plan is armed once per run (Arm), and each
+// kind of each frame fires once — the takeover's resend of a frame does
+// not re-die or re-drop, mirroring a machine that crashed and was
+// replaced.
+type ShardPlan map[Frame]FrameFaults
 
-// NetDup delivers one slice's result frame twice. The coordinator must
-// admit it exactly once: the duplicate arrives after the original has
-// advanced the slice cursor and is discarded as already-journaled.
-type NetDup struct {
-	Slice int
-	Item  int
-}
-
-// NetPartition silently drops every frame, both directions, on the
-// connection holding Slice — starting when the holder sends result frame
-// AfterItem — for Ticks of the network clock. Neither side learns the
-// link is gone; only heartbeat silence does: the lease expires, a
-// survivor takes over, and the healed zombie's stale-epoch frames must be
-// fenced away from the slice WAL. This is the split-brain drill: two live
-// workers believing they own one slice.
-type NetPartition struct {
-	Slice     int
-	AfterItem int
-	Ticks     int64
-}
-
-// NetChaos groups the network fault family for one transported sharded
-// run. A nil chaos injects nothing; all accessors are nil-safe. At most
-// one fault of each kind applies per slice and each fires once.
-type NetChaos struct {
-	Delays     []NetDelay
-	Drops      []NetDrop
-	Dups       []NetDup
-	Partitions []NetPartition
-}
-
-// Any reports whether the chaos injects anything. Nil-safe.
-func (n *NetChaos) Any() bool {
-	return n != nil && (len(n.Delays) > 0 || len(n.Drops) > 0 ||
-		len(n.Dups) > 0 || len(n.Partitions) > 0)
-}
-
-// Faults counts the injected network faults. Nil-safe.
-func (n *NetChaos) Faults() int {
-	if n == nil {
-		return 0
+// Arm returns the plan's fire-once view for one run. A nil or empty plan
+// arms to nil, which fires nothing.
+func (p ShardPlan) Arm() *ArmedPlan {
+	if len(p) == 0 {
+		return nil
 	}
-	return len(n.Delays) + len(n.Drops) + len(n.Dups) + len(n.Partitions)
+	return &ArmedPlan{left: maps.Clone(p)}
 }
 
-// DelayFor returns the in-flight delay for (slice, item), or 0, false.
-// Nil-safe.
-func (n *NetChaos) DelayFor(slice, item int) (int64, bool) {
-	if n == nil {
+// ArmedPlan holds the faults of a plan that have not fired yet in one
+// run. Every worker's kill tap and every connection of the simulated
+// network consult the same view, so a fault fires once however many of
+// them see its frame. Safe for concurrent use; a nil view fires nothing.
+type ArmedPlan struct {
+	mu   sync.Mutex
+	left map[Frame]FrameFaults
+}
+
+// Kill is the worker kill tap: it reports whether the worker about to
+// send result (slice, item) dies first, and how many bytes of the frame
+// it tears.
+func (a *ArmedPlan) Kill(slice, item int) (torn int, kill bool) {
+	if a == nil {
 		return 0, false
 	}
-	for _, d := range n.Delays {
-		if d.Slice == slice && d.Item == item {
-			return d.Ticks, true
-		}
-	}
-	return 0, false
-}
-
-// DropFor reports whether the result frame (slice, item) is dropped
-// (severing its connection). Nil-safe.
-func (n *NetChaos) DropFor(slice, item int) bool {
-	if n == nil {
-		return false
-	}
-	for _, d := range n.Drops {
-		if d.Slice == slice && d.Item == item {
-			return true
-		}
-	}
-	return false
-}
-
-// DupFor reports whether the result frame (slice, item) is delivered
-// twice. Nil-safe.
-func (n *NetChaos) DupFor(slice, item int) bool {
-	if n == nil {
-		return false
-	}
-	for _, d := range n.Dups {
-		if d.Slice == slice && d.Item == item {
-			return true
-		}
-	}
-	return false
-}
-
-// PartitionFor returns the partition starting at result frame
-// (slice, item), or 0, false. Nil-safe.
-func (n *NetChaos) PartitionFor(slice, item int) (int64, bool) {
-	if n == nil {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	f := Frame{slice, item}
+	ff := a.left[f]
+	if !ff.Kill {
 		return 0, false
 	}
-	for _, p := range n.Partitions {
-		if p.Slice == slice && p.AfterItem == item {
-			return p.Ticks, true
-		}
-	}
-	return 0, false
+	torn = ff.TornBytes
+	ff.Kill, ff.TornBytes = false, 0
+	a.putLocked(f, ff)
+	return torn, true
 }
 
-// ShardPlan groups the shard fault families for one sharded run: worker
-// deaths and the network faults of the simulated transport. A nil plan
-// injects nothing. At most one kill applies per slice and, like
-// ProcessKill, it fires once — the takeover run of the same slice does not
-// re-die, mirroring a machine that crashed and was replaced.
-type ShardPlan struct {
-	Kills []ShardKill
-	Net   *NetChaos
+// Send returns the network faults that hit this send of result frame
+// (slice, item). A partition swallows the frame and a drop severs its
+// connection, so either fires alone and the frame's other network faults
+// wait for the takeover's resend; a delay and a duplicate fire together.
+// Kill is never reported here.
+func (a *ArmedPlan) Send(slice, item int) FrameFaults {
+	if a == nil {
+		return FrameFaults{}
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	f := Frame{slice, item}
+	ff, ok := a.left[f]
+	if !ok {
+		return FrameFaults{}
+	}
+	var hit FrameFaults
+	switch {
+	case ff.Partition > 0:
+		hit.Partition, ff.Partition = ff.Partition, 0
+	case ff.Drop:
+		hit.Drop, ff.Drop = true, false
+	default:
+		hit.Delay, hit.Dup = ff.Delay, ff.Dup
+		ff.Delay, ff.Dup = 0, false
+	}
+	a.putLocked(f, ff)
+	return hit
 }
 
-// Any reports whether the plan injects anything. Nil-safe.
-func (p *ShardPlan) Any() bool {
-	return p != nil && (len(p.Kills) > 0 || p.Net.Any())
-}
-
-// KillFor returns the kill fault for slice, or nil. Nil-safe.
-func (p *ShardPlan) KillFor(slice int) *ShardKill {
-	if p == nil {
-		return nil
+// putLocked stores what is left of frame f's faults, forgetting a frame
+// whose faults have all fired.
+func (a *ArmedPlan) putLocked(f Frame, ff FrameFaults) {
+	if ff == (FrameFaults{}) {
+		delete(a.left, f)
+	} else {
+		a.left[f] = ff
 	}
-	for i := range p.Kills {
-		if p.Kills[i].Slice == slice {
-			return &p.Kills[i]
-		}
-	}
-	return nil
-}
-
-// KillTap renders the kill family as a worker kill tap: it reports
-// (TornBytes, true) for the result (slice, AfterResults) of a planned
-// kill, once per slice however many workers share the tap, and nil for a
-// plan without kills. Nil-safe.
-func (p *ShardPlan) KillTap() func(slice, item int) (torn int, kill bool) {
-	if p == nil || len(p.Kills) == 0 {
-		return nil
-	}
-	var mu sync.Mutex
-	fired := map[int]bool{}
-	return func(slice, item int) (int, bool) {
-		k := p.KillFor(slice)
-		if k == nil || k.AfterResults != item {
-			return 0, false
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if fired[slice] {
-			return 0, false
-		}
-		fired[slice] = true
-		return k.TornBytes, true
-	}
-}
-
-// NetFaults returns the plan's network chaos (nil for a nil plan).
-// Nil-safe, like every other accessor on the plan.
-func (p *ShardPlan) NetFaults() *NetChaos {
-	if p == nil {
-		return nil
-	}
-	return p.Net
 }
 
 // DeriveShardPlan seeds a shard-death-and-network plan from (seed, rate):
@@ -496,24 +421,31 @@ func (p *ShardPlan) NetFaults() *NetChaos {
 // survives, and the progress-hampering faults — kills, drops (they sever
 // the holder's connection) and partitions — together number at most
 // len(sliceItems)-1, so at least one shard always makes progress on a
-// never-severed link. Delay durations and partition windows are drawn
-// relative to NetTTL so they straddle a lease deadline. Rate 0 yields
-// nil.
+// never-severed link. Each slice draws at most one fault of each kind, and
+// no drop or partition on a killed slice. Delay durations and partition
+// windows are drawn relative to NetTTL so they straddle a lease deadline.
+// Rate 0 yields nil.
 //
 // The expiry partitions are placed last, into whatever room the cap
 // leaves, each drawn from its slice's kill stream after the kill draws,
 // so they never move a kill or a network-family draw.
-func DeriveShardPlan(seed int64, rate float64, workers int, sliceItems []int) *ShardPlan {
+func DeriveShardPlan(seed int64, rate float64, workers int, sliceItems []int) ShardPlan {
 	if rate <= 0 {
 		return nil
 	}
-	p := &ShardPlan{}
-	net := &NetChaos{}
+	p := ShardPlan{}
+	add := func(slice, item int, set func(*FrameFaults)) {
+		f := Frame{slice, item}
+		ff := p[f]
+		set(&ff)
+		p[f] = ff
+	}
 	kills := 0
 	hampered := 0
 	maxHampered := len(sliceItems) - 1
 	rngs := make([]*detrand.Source, len(sliceItems))
 	killed := make([]bool, len(sliceItems))
+	partitioned := make([]bool, len(sliceItems))
 	for slice, items := range sliceItems {
 		if items == 0 {
 			continue
@@ -521,11 +453,7 @@ func DeriveShardPlan(seed int64, rate float64, workers int, sliceItems []int) *S
 		rng := detrand.New(seed).Child("shardfault/" + strconv.Itoa(slice))
 		rngs[slice] = rng
 		if kills < workers-1 && hampered < maxHampered && rng.Bool(rate) {
-			p.Kills = append(p.Kills, ShardKill{
-				Slice:        slice,
-				AfterResults: rng.Intn(items),
-				TornBytes:    rng.Intn(24),
-			})
+			add(slice, rng.Intn(items), func(ff *FrameFaults) { ff.Kill, ff.TornBytes = true, rng.Intn(24) })
 			kills++
 			hampered++
 			killed[slice] = true
@@ -534,24 +462,17 @@ func DeriveShardPlan(seed int64, rate float64, workers int, sliceItems []int) *S
 		// draws untouched.
 		nrng := detrand.New(seed).Child("netfault/" + strconv.Itoa(slice))
 		if nrng.Bool(rate) {
-			net.Delays = append(net.Delays, NetDelay{
-				Slice: slice,
-				Item:  nrng.Intn(items),
-				Ticks: NetTTL/2 + int64(nrng.Intn(2*NetTTL)),
-			})
+			add(slice, nrng.Intn(items), func(ff *FrameFaults) { ff.Delay = NetTTL/2 + int64(nrng.Intn(2*NetTTL)) })
 		}
 		if nrng.Bool(rate) {
-			net.Dups = append(net.Dups, NetDup{Slice: slice, Item: nrng.Intn(items)})
+			add(slice, nrng.Intn(items), func(ff *FrameFaults) { ff.Dup = true })
 		}
 		if !killed[slice] && hampered < maxHampered && nrng.Bool(rate) {
-			net.Drops = append(net.Drops, NetDrop{Slice: slice, Item: nrng.Intn(items)})
+			add(slice, nrng.Intn(items), func(ff *FrameFaults) { ff.Drop = true })
 			hampered++
 		} else if !killed[slice] && hampered < maxHampered && nrng.Bool(rate) {
-			net.Partitions = append(net.Partitions, NetPartition{
-				Slice:     slice,
-				AfterItem: nrng.Intn(items),
-				Ticks:     NetTTL + int64(nrng.Intn(2*NetTTL)),
-			})
+			add(slice, nrng.Intn(items), func(ff *FrameFaults) { ff.Partition = NetTTL + int64(nrng.Intn(2*NetTTL)) })
+			partitioned[slice] = true
 			hampered++
 		}
 	}
@@ -559,25 +480,15 @@ func DeriveShardPlan(seed int64, rate float64, workers int, sliceItems []int) *S
 	// result, at most one partition per slice. The partition may start at
 	// the slice's final result, which is then lost with the link and
 	// recomputed by the takeover.
-	partitioned := map[int]bool{}
-	for _, np := range net.Partitions {
-		partitioned[np.Slice] = true
-	}
 	for slice, items := range sliceItems {
 		if items < 2 || killed[slice] || partitioned[slice] || hampered >= maxHampered || !rngs[slice].Bool(rate) {
 			continue
 		}
-		net.Partitions = append(net.Partitions, NetPartition{
-			Slice:     slice,
-			AfterItem: 1 + rngs[slice].Intn(items-1),
-			Ticks:     NetTTL + int64(rngs[slice].Intn(2*NetTTL)),
-		})
+		rng := rngs[slice]
+		add(slice, 1+rng.Intn(items-1), func(ff *FrameFaults) { ff.Partition = NetTTL + int64(rng.Intn(2*NetTTL)) })
 		hampered++
 	}
-	if net.Any() {
-		p.Net = net
-	}
-	if !p.Any() {
+	if len(p) == 0 {
 		return nil
 	}
 	return p

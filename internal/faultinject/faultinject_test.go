@@ -4,6 +4,9 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"reflect"
+	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -135,45 +138,142 @@ func TestRatesBite(t *testing.T) {
 	check("trunc", truncs)
 }
 
-func TestShardPlanLookupsNilSafe(t *testing.T) {
-	var nilPlan *ShardPlan
-	if nilPlan.Any() || nilPlan.KillFor(0) != nil || nilPlan.KillTap() != nil || nilPlan.NetFaults() != nil {
-		t.Fatal("nil ShardPlan injected something")
+// fire is one attempt to send result (slice, item): the worker's kill
+// tap first, then the network — the order a worker and the simulated
+// network consult an armed plan in.
+func fire(a *ArmedPlan, slice, item int) FrameFaults {
+	torn, kill := a.Kill(slice, item)
+	if kill {
+		return FrameFaults{Kill: true, TornBytes: torn}
 	}
-	p := &ShardPlan{
-		Kills: []ShardKill{{Slice: 2, AfterResults: 3, TornBytes: 5}},
-		Net:   &NetChaos{Partitions: []NetPartition{{Slice: 1, AfterItem: 1, Ticks: NetTTL + 1}}},
+	return a.Send(slice, item)
+}
+
+func TestArmedPlanFiresEachFaultOnce(t *testing.T) {
+	if ShardPlan(nil).Arm() != nil || (ShardPlan{}).Arm() != nil {
+		t.Fatal("an empty plan armed to a view")
 	}
-	if !p.Any() || !(&ShardPlan{Net: p.Net}).Any() {
-		t.Fatal("populated plan reports empty")
+	var none *ArmedPlan
+	if fire(none, 0, 0) != (FrameFaults{}) {
+		t.Fatal("a nil view fired")
 	}
-	if k := p.KillFor(2); k == nil || k.AfterResults != 3 || k.TornBytes != 5 {
-		t.Fatalf("KillFor(2) = %+v", p.KillFor(2))
+
+	// Each kind fires at its frame only, and only once.
+	for _, ff := range []FrameFaults{
+		{Kill: true, TornBytes: 7}, {Drop: true}, {Dup: true}, {Delay: 40}, {Partition: 90},
+	} {
+		a := ShardPlan{{Slice: 1, Item: 2}: ff}.Arm()
+		for _, at := range []Frame{{0, 2}, {1, 1}, {1, 3}} {
+			if got := fire(a, at.Slice, at.Item); got != (FrameFaults{}) {
+				t.Fatalf("%+v fired at %+v: %+v", ff, at, got)
+			}
+		}
+		if got := fire(a, 1, 2); got != ff {
+			t.Fatalf("%+v fired as %+v", ff, got)
+		}
+		if got := fire(a, 1, 2); got != (FrameFaults{}) {
+			t.Fatalf("%+v fired twice: %+v", ff, got)
+		}
 	}
-	if p.KillFor(1) != nil {
-		t.Fatal("lookup matched the wrong slice")
+
+	// Two kinds on one frame both fire: a kill, then the delay on the
+	// takeover's send; a delay and a duplicate on the same send.
+	a := ShardPlan{{Slice: 0, Item: 1}: {Kill: true, TornBytes: 3, Delay: 40}}.Arm()
+	if got := fire(a, 0, 1); got != (FrameFaults{Kill: true, TornBytes: 3}) {
+		t.Fatalf("first send of a killed and delayed frame: %+v, want the kill", got)
+	}
+	if got := fire(a, 0, 1); got != (FrameFaults{Delay: 40}) {
+		t.Fatalf("takeover's send: %+v, want the delay", got)
+	}
+	a = ShardPlan{{Slice: 0, Item: 1}: {Delay: 40, Dup: true}}.Arm()
+	if got := fire(a, 0, 1); got != (FrameFaults{Delay: 40, Dup: true}) {
+		t.Fatalf("delayed duplicate fired as %+v", got)
+	}
+
+	// A partition swallows its frame: the delay on it fires when the
+	// takeover resends the frame.
+	a = ShardPlan{{Slice: 2, Item: 0}: {Partition: 90, Delay: 40}}.Arm()
+	for i, want := range []FrameFaults{{Partition: 90}, {Delay: 40}, {}} {
+		if got := fire(a, 2, 0); got != want {
+			t.Fatalf("send %d of a partitioned, delayed frame: %+v, want %+v", i, got, want)
+		}
+	}
+
+	// Fire-once holds across goroutines sharing the view.
+	a = ShardPlan{{Slice: 0, Item: 0}: {Kill: true}}.Arm()
+	var kills atomic.Int32
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, kill := a.Kill(0, 0); kill {
+				kills.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := kills.Load(); n != 1 {
+		t.Fatalf("kill fired %d times across goroutines, want 1", n)
 	}
 }
 
-func TestShardKillTapFiresAtFrame(t *testing.T) {
-	if (&ShardPlan{Net: &NetChaos{}}).KillTap() != nil {
-		t.Fatal("plan without kills produced a tap")
+// Per-kind renderings of a plan: the shape of the per-kind fault lists
+// the digest below was taken over, one entry per fault.
+type (
+	kill  struct{ Slice, AfterResults, TornBytes int }
+	delay struct {
+		Slice, Item int
+		Ticks       int64
 	}
-	tap := (&ShardPlan{Kills: []ShardKill{{Slice: 0, AfterResults: 2, TornBytes: 7}}}).KillTap()
-	for _, at := range [][2]int{{0, 0}, {0, 1}, {1, 2}} {
-		if _, kill := tap(at[0], at[1]); kill {
-			t.Fatalf("tap fired at slice %d item %d, before or away from its frame", at[0], at[1])
+	frameHit  struct{ Slice, Item int }
+	partition struct {
+		Slice, AfterItem int
+		Ticks            int64
+	}
+)
+
+type kindLists struct {
+	Kills       []kill
+	Delays      []delay
+	Dups, Drops []frameHit
+	Partitions  []partition
+}
+
+// lists renders p per kind, each list in slice order — the order the
+// derivation draws slices in, and (with at most one fault of a kind per
+// slice) the order its per-kind lists were appended in.
+func lists(p ShardPlan) kindLists {
+	frames := make([]Frame, 0, len(p))
+	for f := range p {
+		frames = append(frames, f)
+	}
+	sort.Slice(frames, func(i, j int) bool {
+		if frames[i].Slice != frames[j].Slice {
+			return frames[i].Slice < frames[j].Slice
+		}
+		return frames[i].Item < frames[j].Item
+	})
+	var l kindLists
+	for _, f := range frames {
+		ff := p[f]
+		if ff.Kill {
+			l.Kills = append(l.Kills, kill{f.Slice, f.Item, ff.TornBytes})
+		}
+		if ff.Delay > 0 {
+			l.Delays = append(l.Delays, delay{f.Slice, f.Item, ff.Delay})
+		}
+		if ff.Dup {
+			l.Dups = append(l.Dups, frameHit{f.Slice, f.Item})
+		}
+		if ff.Drop {
+			l.Drops = append(l.Drops, frameHit{f.Slice, f.Item})
+		}
+		if ff.Partition > 0 {
+			l.Partitions = append(l.Partitions, partition{f.Slice, f.Item, ff.Partition})
 		}
 	}
-	torn, kill := tap(0, 2)
-	if !kill || torn != 7 {
-		t.Fatalf("tap(0, 2) = (%d, %v), want (7, true)", torn, kill)
-	}
-	// Fire-once: the takeover of the same slice, on any worker sharing
-	// the tap, does not re-die.
-	if _, kill := tap(0, 2); kill {
-		t.Fatal("tap fired twice for one slice")
-	}
+	return l
 }
 
 func TestDeriveShardPlanDeterministicAndCapped(t *testing.T) {
@@ -186,10 +286,11 @@ func TestDeriveShardPlanDeterministicAndCapped(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed produced different plans:\n%+v\n%+v", a, b)
 	}
-	if len(a.Kills) > 3 {
-		t.Fatalf("%d kills with 4 workers: no survivor guaranteed", len(a.Kills))
+	kills := lists(a).Kills
+	if len(kills) > 3 {
+		t.Fatalf("%d kills with 4 workers: no survivor guaranteed", len(kills))
 	}
-	for _, k := range a.Kills {
+	for _, k := range kills {
 		if k.AfterResults < 0 || k.AfterResults >= items[k.Slice] {
 			t.Fatalf("kill point %d outside slice of %d items", k.AfterResults, items[k.Slice])
 		}
@@ -197,18 +298,8 @@ func TestDeriveShardPlanDeterministicAndCapped(t *testing.T) {
 	if DeriveShardPlan(77, 0, 4, items) != nil {
 		t.Fatal("rate 0 produced a plan")
 	}
-	if c := DeriveShardPlan(78, 0.9, 4, items); len(c.Kills) == len(a.Kills) {
-		// Different seeds usually differ; equal counts are fine as long as
-		// the cut points moved.
-		same := len(a.Kills) > 0
-		for i := range c.Kills {
-			if i < len(a.Kills) && c.Kills[i] != a.Kills[i] {
-				same = false
-			}
-		}
-		if same && len(a.Kills) > 0 {
-			t.Log("seed 77 and 78 derived identical kills (unlikely but legal)")
-		}
+	if c := lists(DeriveShardPlan(78, 0.9, 4, items)).Kills; reflect.DeepEqual(c, kills) && len(kills) > 0 {
+		t.Log("seed 77 and 78 derived identical kills (unlikely but legal)")
 	}
 }
 
@@ -216,32 +307,33 @@ func TestDeriveShardPlanNetFamilyCappedAndDeterministic(t *testing.T) {
 	items := []int{10, 10, 10, 10, 10, 10, 10, 10}
 	a := DeriveShardPlan(311, 1.0, 4, items)
 	b := DeriveShardPlan(311, 1.0, 4, items)
-	if a == nil || !a.Net.Any() {
+	l := lists(a)
+	if len(l.Delays)+len(l.Dups)+len(l.Drops)+len(l.Partitions) == 0 {
 		t.Fatalf("rate-1.0 derivation injected no network chaos: %+v", a)
 	}
-	if !reflect.DeepEqual(a.Net, b.Net) {
-		t.Fatalf("same seed derived different network chaos:\n%+v\n%+v", a.Net, b.Net)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same seed derived different plans:\n%+v\n%+v", a, b)
 	}
 
 	// Progress cap: the faults that hamper progress — kills, drops
 	// (severed conns), partitions — must leave at least one slice on a
 	// never-severed link.
-	hampered := len(a.Kills) + len(a.Net.Drops) + len(a.Net.Partitions)
+	hampered := len(l.Kills) + len(l.Drops) + len(l.Partitions)
 	if hampered > len(items)-1 {
 		t.Fatalf("%d hampering faults across %d slices: no guaranteed progress", hampered, len(items))
 	}
 	// A killed slice draws no drop or partition on top: the kill already
 	// severs its connection.
 	killed := map[int]bool{}
-	for _, k := range a.Kills {
+	for _, k := range l.Kills {
 		killed[k.Slice] = true
 	}
-	for _, d := range a.Net.Drops {
+	for _, d := range l.Drops {
 		if killed[d.Slice] {
 			t.Fatalf("slice %d drew both a kill and a drop", d.Slice)
 		}
 	}
-	for _, p := range a.Net.Partitions {
+	for _, p := range l.Partitions {
 		if killed[p.Slice] {
 			t.Fatalf("slice %d drew both a kill and a partition", p.Slice)
 		}
@@ -249,28 +341,17 @@ func TestDeriveShardPlanNetFamilyCappedAndDeterministic(t *testing.T) {
 
 	// Every fault point stays inside its slice, and durations are drawn
 	// relative to NetTTL so they interact with a lease deadline.
-	for _, d := range a.Net.Delays {
-		if d.Item < 0 || d.Item >= items[d.Slice] {
-			t.Fatalf("delay item %d outside slice of %d items", d.Item, items[d.Slice])
+	for f := range a {
+		if f.Item < 0 || f.Item >= items[f.Slice] {
+			t.Fatalf("fault at item %d outside slice of %d items", f.Item, items[f.Slice])
 		}
+	}
+	for _, d := range l.Delays {
 		if d.Ticks < NetTTL/2 {
 			t.Fatalf("delay of %d ticks cannot overtake anything meaningful (TTL %d)", d.Ticks, NetTTL)
 		}
 	}
-	for _, d := range a.Net.Drops {
-		if d.Item < 0 || d.Item >= items[d.Slice] {
-			t.Fatalf("drop item %d outside slice of %d items", d.Item, items[d.Slice])
-		}
-	}
-	for _, d := range a.Net.Dups {
-		if d.Item < 0 || d.Item >= items[d.Slice] {
-			t.Fatalf("dup item %d outside slice of %d items", d.Item, items[d.Slice])
-		}
-	}
-	for _, p := range a.Net.Partitions {
-		if p.AfterItem < 0 || p.AfterItem >= items[p.Slice] {
-			t.Fatalf("partition point %d outside slice of %d items", p.AfterItem, items[p.Slice])
-		}
+	for _, p := range l.Partitions {
 		if p.Ticks < NetTTL {
 			t.Fatalf("partition of %d ticks cannot outlive a lease (TTL %d)", p.Ticks, NetTTL)
 		}
@@ -297,11 +378,8 @@ func TestDeriveShardPlanExpiryBecomesPartition(t *testing.T) {
 						fmt.Fprintln(h, "nil")
 						continue
 					}
-					n := p.Net
-					if n == nil {
-						n = &NetChaos{}
-					}
-					fmt.Fprintf(h, "%v|%v|%v|%v\n", p.Kills, n.Delays, n.Dups, n.Drops)
+					l := lists(p)
+					fmt.Fprintf(h, "%v|%v|%v|%v\n", l.Kills, l.Delays, l.Dups, l.Drops)
 				}
 			}
 		}
@@ -316,9 +394,9 @@ func TestDeriveShardPlanExpiryBecomesPartition(t *testing.T) {
 	// slice 4 after 9, slice 6 after 3) are now its partitions, one per
 	// slice, within the cap.
 	items := []int{10, 10, 10, 10, 10, 10, 10, 10}
-	p := DeriveShardPlan(6, 0.3, 4, items)
+	l := lists(DeriveShardPlan(6, 0.3, 4, items))
 	var got [][2]int
-	for _, np := range p.Net.Partitions {
+	for _, np := range l.Partitions {
 		if np.Ticks < NetTTL {
 			t.Fatalf("expiry partition %+v cannot outlive a lease (TTL %d)", np, NetTTL)
 		}
@@ -327,7 +405,7 @@ func TestDeriveShardPlanExpiryBecomesPartition(t *testing.T) {
 	if want := [][2]int{{0, 1}, {1, 8}, {4, 9}, {6, 3}}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("seed 6 partitions at %v, want the former expiry points %v", got, want)
 	}
-	if n := len(p.Kills) + len(p.Net.Drops) + len(p.Net.Partitions); n > len(items)-1 {
+	if n := len(l.Kills) + len(l.Drops) + len(l.Partitions); n > len(items)-1 {
 		t.Fatalf("%d hampering faults across %d slices", n, len(items))
 	}
 }

@@ -212,10 +212,6 @@ type Recovery struct {
 	// many trailing bytes it spanned.
 	Truncated bool
 	TornBytes int64
-
-	// validSize is the byte offset where the verified prefix ends —
-	// AppendTo truncates the file here before reopening it for append.
-	validSize int64
 }
 
 // Recover scans a journal, verifies every frame checksum, truncates a torn
@@ -281,7 +277,6 @@ func Recover(path string) (*Recovery, error) {
 		}
 		first = false
 		off = end
-		rec.validSize = off
 	}
 	if first || rec.Meta == nil {
 		return nil, fmt.Errorf("journal: %s: %w", path, ErrNoHeader)
@@ -294,19 +289,11 @@ func (r *Recovery) truncate(off, size int64) {
 	r.TornBytes = size - off
 }
 
-// AppendTo reopens a recovered journal for appending: the torn tail (if
-// any) is cut off at the last verified frame boundary, and the returned
-// writer continues numbering after the recovered results.
-func (r *Recovery) AppendTo(path string) (*Writer, error) {
-	return ResumeWriter(path, len(r.Results), r.validSize)
-}
-
 // ResumeWriter reopens a journal for appending after a streaming walk:
 // the file is truncated at validSize (cutting any torn tail) and the
 // returned writer continues numbering after frames recovered results.
-// OpenReader + ResumeWriter is the bounded-memory equivalent of
-// Recover + AppendTo, and the path every resume takes: a study rerun, a
-// timeline point, and a shard takeover resuming a dead worker's journal.
+// OpenReader + ResumeWriter is the path every resume takes: a study rerun,
+// a timeline point, and a shard takeover resuming a dead worker's journal.
 func ResumeWriter(path string, frames int, validSize int64) (*Writer, error) {
 	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
 	if err != nil {

@@ -172,14 +172,22 @@ func TestAppendAfterRecover(t *testing.T) {
 	}
 	f.Close()
 
-	rec, err := journal.Recover(path)
+	r, err := journal.OpenReader(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rec.Truncated || rec.TornBytes != 2 {
-		t.Fatalf("Truncated=%v TornBytes=%d, want true/2", rec.Truncated, rec.TornBytes)
+	for err == nil {
+		_, err = r.Next()
 	}
-	w, err := rec.AppendTo(path)
+	if err != io.EOF {
+		t.Fatal(err)
+	}
+	if !r.Truncated() || r.TornBytes() != 2 {
+		t.Fatalf("Truncated=%v TornBytes=%d, want true/2", r.Truncated(), r.TornBytes())
+	}
+	frames, size := r.Frames(), r.ValidSize()
+	r.Close()
+	w, err := journal.ResumeWriter(path, frames, size)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ type Config struct {
 	SwapFuncs map[string][]string
 
 	// JournalWriterPackages lists the packages permitted to construct or
-	// resume WAL writers (journal.Create / ResumeWriter / AppendTo).
+	// resume WAL writers (journal.Create / ResumeWriter).
 	JournalWriterPackages []string
 
 	// Owners maps an analyzer name to the package that implements the

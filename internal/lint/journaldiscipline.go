@@ -4,15 +4,15 @@ package lint
 // outside in:
 //
 //  1. WAL bytes come only from the journal package. Constructing or
-//     resuming a journal.Writer (journal.Create, journal.ResumeWriter,
-//     Recovery.AppendTo) is restricted to the designated writer packages;
+//     resuming a journal.Writer (journal.Create, journal.ResumeWriter) is
+//     restricted to the designated writer packages;
 //     forging the WAL magic string or opening files with os.O_APPEND
 //     anywhere else is flagged outright.
 //  2. Durable writes fsync before rename: every os.Rename call must be
 //     dominated by a Sync call — on all paths from the function entry to
 //     the rename, a .Sync() happens first — so the renamed bytes are on
 //     disk before the old artifact is unlinked.
-//  3. Resuming is meta-checked: every ResumeWriter / AppendTo call outside
+//  3. Resuming is meta-checked: every ResumeWriter call outside
 //     the journal package must be dominated by a read of the recovered
 //     journal's Meta, the strict-config gate that keeps a foreign run's WAL
 //     from being appended to.
@@ -33,18 +33,11 @@ import (
 var walWriterBans = banTable{
 	{journalPkg, "Create"}:       "hands out a fresh WAL writer",
 	{journalPkg, "ResumeWriter"}: "hands out an append handle to a recovered WAL",
-	{journalPkg, "AppendTo"}:     "hands out an append handle to a recovered WAL",
 }
 
 // appendBans is rule 1's ban on appending outside the journal package.
 var appendBans = banTable{
 	{"os", "O_APPEND"}: "outside the journal package; appending to artifacts bypasses the WAL's framing and recovery",
-}
-
-// metaCheckedJournalFuncs are the rule-3 resume entry points.
-var metaCheckedJournalFuncs = map[string]bool{
-	"ResumeWriter": true,
-	"AppendTo":     true,
 }
 
 // NewJournalDiscipline builds the journaldiscipline analyzer over cfg.
@@ -105,7 +98,7 @@ func checkJournalPaths(pass *Pass, body *ast.BlockStmt) {
 			}
 		}
 		if fn := CalleeOf(pass.Info, call); fn != nil && fn.Pkg() != nil &&
-			fn.Pkg().Path() == journalPkg && metaCheckedJournalFuncs[fn.Name()] {
+			fn.Pkg().Path() == journalPkg && fn.Name() == "ResumeWriter" {
 			sites = append(sites, site{call, 3, "journal." + fn.Name()})
 		}
 		return true

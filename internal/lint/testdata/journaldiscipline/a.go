@@ -54,25 +54,6 @@ func badResume(path string) (*journal.Writer, error) {
 	return journal.ResumeWriter(path, 0, 0) // want "journal\.ResumeWriter not preceded by a journal meta check"
 }
 
-func okAppendTo(path string, meta []byte) (*journal.Writer, error) {
-	rec, err := journal.Recover(path)
-	if err != nil {
-		return nil, err
-	}
-	if !bytes.Equal(rec.Meta, meta) {
-		return nil, err
-	}
-	return rec.AppendTo(path)
-}
-
-func badAppendTo(path string) (*journal.Writer, error) {
-	rec, err := journal.Recover(path)
-	if err != nil {
-		return nil, err
-	}
-	return rec.AppendTo(path) // want "journal\.AppendTo not preceded by a journal meta check"
-}
-
 func allowedResume(path string) (*journal.Writer, error) {
 	//pinlint:allow journaldiscipline fixture: meta is checked by the caller
 	return journal.ResumeWriter(path, 0, 0)

@@ -15,11 +15,7 @@ func forgeCreate(path string) (*journal.Writer, error) {
 }
 
 func forgeResume(path string) (*journal.Writer, error) {
-	rec, err := journal.Recover(path)
-	if err != nil {
-		return nil, err
-	}
-	return rec.AppendTo(path) // want "journal\.AppendTo hands out an append handle" "journal\.AppendTo not preceded by a journal meta check"
+	return journal.ResumeWriter(path, 0, 0) // want "journal\.ResumeWriter hands out an append handle" "journal\.ResumeWriter not preceded by a journal meta check"
 }
 
 func forgeAppend(path string) (*os.File, error) {

@@ -35,6 +35,7 @@ import (
 	"sort"
 	"sync"
 
+	"pinscope/internal/faultinject"
 	"pinscope/internal/journal"
 )
 
@@ -74,9 +75,10 @@ type Config struct {
 	// RunConfig is the Welcome payload: the run's identity (seed and
 	// parameters, never data) from which a worker rebuilds its bench.
 	RunConfig []byte
-	// LeaseTTL is the lease duration in clock units (0 = DefaultSimTTL,
-	// sized for the simulated network; TCP callers pass wall-clock
-	// nanoseconds).
+	// LeaseTTL is the lease duration in clock units (0 =
+	// faultinject.NetTTL, sized for the simulated network, whose derived
+	// delays and partitions straddle its lease deadlines by construction;
+	// TCP callers pass wall-clock nanoseconds).
 	LeaseTTL int64
 	// BackoffSeed seeds the jittered send backoff, which starts at
 	// LeaseTTL/8 and caps at 4·LeaseTTL.
@@ -86,11 +88,6 @@ type Config struct {
 // sendRetries is how many times a coordinator→worker send is retried
 // before the connection is declared dead.
 const sendRetries = 3
-
-// DefaultSimTTL is the default lease TTL in simulated-network ticks,
-// equal to faultinject.NetTTL so derived delay and partition windows
-// straddle lease deadlines by construction.
-const DefaultSimTTL = 64
 
 // pendingCap bounds the per-slice reorder buffer. A frame past the cap
 // is dropped; the sender's lease eventually expires and the takeover
@@ -186,7 +183,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	}
 	ttl := cfg.LeaseTTL
 	if ttl <= 0 {
-		ttl = DefaultSimTTL
+		ttl = faultinject.NetTTL
 	}
 	c := &Coordinator{
 		cfg:        cfg,

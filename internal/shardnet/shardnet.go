@@ -9,9 +9,9 @@
 //
 // Two interchangeable transports implement the same Conn/Listener
 // contract: a deterministic in-process simulated network (sim.go), which
-// passes frames in memory and, when asked, injects delay, drop,
-// duplication, reorder and partition faults as seeded draws from
-// faultinject + detrand — fault-free it is how in-process fleets run —
+// passes frames in memory and, when asked, injects the delay, drop,
+// duplication, reorder and partition faults of a run's armed faultinject
+// frame table — fault-free it is how in-process fleets run —
 // and a real TCP transport (tcp.go) whose frames reuse the journal
 // framing discipline — length-prefixed, CRC32C-checksummed, versioned by
 // a magic string — for workers on other machines.

@@ -105,13 +105,13 @@ func verifyJournals(t *testing.T, slices []Slice) {
 }
 
 // simFleet is one simulated-network run: a coordinator plus a fleet of
-// in-process workers over a SimNet injecting the plan's network chaos and
+// in-process workers over a SimNet injecting the plan's network faults and
 // worker kills. listen, when set, wraps the coordinator's listener, and
 // beforeDial runs in worker i's goroutine before it first dials.
 type simFleet struct {
 	slices     []Slice
 	workers    int
-	plan       *faultinject.ShardPlan
+	plan       faultinject.ShardPlan
 	listen     func(Listener) Listener
 	beforeDial func(i int)
 }
@@ -120,7 +120,8 @@ type simFleet struct {
 // plus each worker's own error.
 func (f simFleet) run(t *testing.T) (*Stats, []error, error) {
 	t.Helper()
-	simnet := NewSimNet(f.plan.NetFaults())
+	faults := f.plan.Arm()
+	simnet := NewSimNet(faults)
 	var ln Listener = simnet.Listener()
 	if f.listen != nil {
 		ln = f.listen(ln)
@@ -135,7 +136,6 @@ func (f simFleet) run(t *testing.T) (*Stats, []error, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kill := f.plan.KillTap()
 	workerErrs := make([]error, f.workers)
 	stats, err := RunFleet(coord, f.workers, func(i int) error {
 		if f.beforeDial != nil {
@@ -146,7 +146,7 @@ func (f simFleet) run(t *testing.T) (*Stats, []error, error) {
 			NewBench:    newFakeBench,
 			BackoffSeed: 7,
 			Scope:       fmt.Sprintf("w%d", i),
-			KillTap:     kill,
+			KillTap:     faults.Kill,
 		})
 		return workerErrs[i]
 	})
@@ -154,18 +154,13 @@ func (f simFleet) run(t *testing.T) (*Stats, []error, error) {
 }
 
 // runSim runs a simFleet that must complete.
-func runSim(t *testing.T, slices []Slice, workers int, plan *faultinject.ShardPlan) (*Stats, []error) {
+func runSim(t *testing.T, slices []Slice, workers int, plan faultinject.ShardPlan) (*Stats, []error) {
 	t.Helper()
 	stats, workerErrs, err := simFleet{slices: slices, workers: workers, plan: plan}.run(t)
 	if err != nil {
 		t.Fatalf("coordinator: %v (stats %+v, worker errs %v)", err, stats, workerErrs)
 	}
 	return stats, workerErrs
-}
-
-// netPlan wraps network chaos in a shard plan.
-func netPlan(chaos *faultinject.NetChaos) *faultinject.ShardPlan {
-	return &faultinject.ShardPlan{Net: chaos}
 }
 
 // journalBytes reads every slice WAL's raw bytes.
@@ -207,8 +202,7 @@ func TestSimEmptySliceCompletesWithoutGrant(t *testing.T) {
 
 func TestSimDuplicateDeliveryIsIdempotent(t *testing.T) {
 	slices := testSlices(t.TempDir(), 4, 4)
-	chaos := &faultinject.NetChaos{Dups: []faultinject.NetDup{{Slice: 1, Item: 2}}}
-	stats, _ := runSim(t, slices, 2, netPlan(chaos))
+	stats, _ := runSim(t, slices, 2, faultinject.ShardPlan{{Slice: 1, Item: 2}: {Dup: true}})
 	if stats.Duplicates < 1 {
 		t.Fatalf("Duplicates = %d, want >= 1 (the dup fault must actually fire)", stats.Duplicates)
 	}
@@ -217,8 +211,7 @@ func TestSimDuplicateDeliveryIsIdempotent(t *testing.T) {
 
 func TestSimDropSeversConnAndRunResumes(t *testing.T) {
 	slices := testSlices(t.TempDir(), 5, 5)
-	chaos := &faultinject.NetChaos{Drops: []faultinject.NetDrop{{Slice: 0, Item: 2}}}
-	stats, _ := runSim(t, slices, 2, netPlan(chaos))
+	stats, _ := runSim(t, slices, 2, faultinject.ShardPlan{{Slice: 0, Item: 2}: {Drop: true}})
 	if stats.ConnDrops < 1 {
 		t.Fatalf("ConnDrops = %d, want >= 1 (the drop severs the stream)", stats.ConnDrops)
 	}
@@ -241,10 +234,8 @@ func TestSimPartitionExpiresLeaseAndRecovers(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			slices := testSlices(t.TempDir(), 6, 6)
-			chaos := &faultinject.NetChaos{Partitions: []faultinject.NetPartition{
-				{Slice: 0, AfterItem: tc.afterItem, Ticks: 2 * DefaultSimTTL},
-			}}
-			stats, _ := runSim(t, slices, 2, netPlan(chaos))
+			plan := faultinject.ShardPlan{{Slice: 0, Item: tc.afterItem}: {Partition: 2 * faultinject.NetTTL}}
+			stats, _ := runSim(t, slices, 2, plan)
 			if stats.Expired < 1 {
 				t.Fatalf("Expired = %d, want >= 1 (heartbeat silence must expire the lease)", stats.Expired)
 			}
@@ -258,10 +249,7 @@ func TestSimPartitionExpiresLeaseAndRecovers(t *testing.T) {
 
 func TestSimDelayedFrameNeverLandsOutOfOrder(t *testing.T) {
 	slices := testSlices(t.TempDir(), 6, 6)
-	chaos := &faultinject.NetChaos{Delays: []faultinject.NetDelay{
-		{Slice: 0, Item: 1, Ticks: 3 * DefaultSimTTL / 2},
-	}}
-	stats, _ := runSim(t, slices, 2, netPlan(chaos))
+	stats, _ := runSim(t, slices, 2, faultinject.ShardPlan{{Slice: 0, Item: 1}: {Delay: 3 * faultinject.NetTTL / 2}})
 	// The late frame either reorders behind its successors (buffered) or
 	// arrives after its epoch died (fenced / duplicate); whichever way the
 	// race lands, the journal bytes must be exact.
@@ -273,7 +261,7 @@ func TestSimDelayedFrameNeverLandsOutOfOrder(t *testing.T) {
 
 func TestSimWorkerKillMidStreamResumes(t *testing.T) {
 	slices := testSlices(t.TempDir(), 6, 4)
-	plan := &faultinject.ShardPlan{Kills: []faultinject.ShardKill{{Slice: 0, AfterResults: 3, TornBytes: 5}}}
+	plan := faultinject.ShardPlan{{Slice: 0, Item: 3}: {Kill: true, TornBytes: 5}}
 	stats, workerErrs := runSim(t, slices, 2, plan)
 	killed := 0
 	for _, e := range workerErrs {
@@ -306,7 +294,7 @@ func TestSimFleetSurvivesKillBeforeSecondDial(t *testing.T) {
 	stats, workerErrs, err := simFleet{
 		slices:  slices,
 		workers: 2,
-		plan:    &faultinject.ShardPlan{Kills: []faultinject.ShardKill{{Slice: 0, AfterResults: 0}}},
+		plan:    faultinject.ShardPlan{{Slice: 0, Item: 0}: {Kill: true}},
 		listen: func(ln Listener) Listener {
 			watch = &closeWatchListener{Listener: ln, firstClosed: make(chan struct{})}
 			return watch
@@ -368,16 +356,12 @@ func TestSimManySlicesFewWorkersUnderChurn(t *testing.T) {
 	want := journalBytes(t, clean)
 
 	faulted := testSlices(t.TempDir(), 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7)
-	stats, _ := runSim(t, faulted, 4, &faultinject.ShardPlan{
-		Kills: []faultinject.ShardKill{
-			{Slice: 0, AfterResults: 0},
-			{Slice: 5, AfterResults: 6, TornBytes: 21},
-			{Slice: 9, AfterResults: 3, TornBytes: 1},
-		},
-		Net: &faultinject.NetChaos{Partitions: []faultinject.NetPartition{
-			{Slice: 2, AfterItem: 1, Ticks: 3 * DefaultSimTTL / 2},
-			{Slice: 7, AfterItem: 6, Ticks: 3 * DefaultSimTTL / 2},
-		}},
+	stats, _ := runSim(t, faulted, 4, faultinject.ShardPlan{
+		{Slice: 0, Item: 0}: {Kill: true},
+		{Slice: 5, Item: 6}: {Kill: true, TornBytes: 21},
+		{Slice: 9, Item: 3}: {Kill: true, TornBytes: 1},
+		{Slice: 2, Item: 1}: {Partition: 3 * faultinject.NetTTL / 2},
+		{Slice: 7, Item: 6}: {Partition: 3 * faultinject.NetTTL / 2},
 	})
 	if stats.WorkersKilled != 3 {
 		t.Fatalf("WorkersKilled = %d, want 3", stats.WorkersKilled)
@@ -486,13 +470,13 @@ func TestZombieEpochFrameIsFencedAndWALStaysIntact(t *testing.T) {
 			if err := conn.Send(Frame{Type: frameHello}); err != nil {
 				return err
 			}
-			if f, err := conn.Recv(8 * DefaultSimTTL); err != nil || f.Type != frameWelcome {
+			if f, err := conn.Recv(8 * faultinject.NetTTL); err != nil || f.Type != frameWelcome {
 				return fmt.Errorf("welcome: %v (type %#x)", err, f.Type)
 			}
 			if err := conn.Send(Frame{Type: frameReady}); err != nil {
 				return err
 			}
-			f, err := conn.Recv(8 * DefaultSimTTL)
+			f, err := conn.Recv(8 * faultinject.NetTTL)
 			if err != nil || f.Type != frameGrant {
 				return fmt.Errorf("grant: %v (type %#x)", err, f.Type)
 			}
@@ -511,7 +495,7 @@ func TestZombieEpochFrameIsFencedAndWALStaysIntact(t *testing.T) {
 			}
 			// Silence: no heartbeats until well past the lease deadline
 			// (the Fence the expiry sends is drained and ignored).
-			if err := waitOn(conn, simnet, simnet.Now()+3*DefaultSimTTL); err != nil {
+			if err := waitOn(conn, simnet, simnet.Now()+3*faultinject.NetTTL); err != nil {
 				return err
 			}
 			// The zombie wakes and replays item 1 under its dead epoch.
@@ -538,7 +522,7 @@ func TestZombieEpochFrameIsFencedAndWALStaysIntact(t *testing.T) {
 			if err := conn.Send(Frame{Type: frameHello}); err != nil {
 				return err
 			}
-			if f, err := conn.Recv(8 * DefaultSimTTL); err != nil || f.Type != frameWelcome {
+			if f, err := conn.Recv(8 * faultinject.NetTTL); err != nil || f.Type != frameWelcome {
 				return fmt.Errorf("welcome: %v (type %#x)", err, f.Type)
 			}
 			sawSliceZeroTakeover := false
@@ -546,7 +530,7 @@ func TestZombieEpochFrameIsFencedAndWALStaysIntact(t *testing.T) {
 				if err := conn.Send(Frame{Type: frameReady}); err != nil {
 					return err
 				}
-				f, err := conn.Recv(DefaultSimTTL)
+				f, err := conn.Recv(faultinject.NetTTL)
 				if errors.Is(err, ErrRecvTimeout) {
 					continue
 				}
@@ -577,10 +561,10 @@ func TestZombieEpochFrameIsFencedAndWALStaysIntact(t *testing.T) {
 								Payload: encodeLeaseRef(leaseRef{Slice: g.Slice, Epoch: g.Epoch})}); err != nil {
 								return err
 							}
-							if err := waitOn(conn, simnet, simnet.Now()+DefaultSimTTL/8); err != nil {
+							if err := waitOn(conn, simnet, simnet.Now()+faultinject.NetTTL/8); err != nil {
 								return err
 							}
-							if simnet.Now() > 100*DefaultSimTTL {
+							if simnet.Now() > 100*faultinject.NetTTL {
 								return errors.New("zombie frame never showed up")
 							}
 						}
@@ -708,7 +692,7 @@ func TestTCPLoopbackRunWithMidStreamKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A torn wire prefix: the framing must reject it.
-	kill := (&faultinject.ShardPlan{Kills: []faultinject.ShardKill{{Slice: 0, AfterResults: 2, TornBytes: 7}}}).KillTap()
+	faults := faultinject.ShardPlan{{Slice: 0, Item: 2}: {Kill: true, TornBytes: 7}}.Arm()
 	workerErrs := make([]error, 2)
 	stats, err := RunFleet(coord, 2, func(i int) error {
 		workerErrs[i] = RunWorker(TCPDialer{Addr: ln.Addr()}, WorkerOptions{
@@ -717,7 +701,7 @@ func TestTCPLoopbackRunWithMidStreamKill(t *testing.T) {
 			IdleTimeout: int64(250_000_000), // 250ms
 			BackoffBase: int64(20_000_000),  // 20ms
 			Scope:       fmt.Sprintf("tcp%d", i),
-			KillTap:     kill,
+			KillTap:     faults.Kill,
 		})
 		return workerErrs[i]
 	})

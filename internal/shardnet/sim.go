@@ -3,14 +3,15 @@ package shardnet
 // sim.go is the deterministic in-process network: connections are
 // in-memory frame queues under one logical clock, and every pathology —
 // delay, drop, duplication, the reordering they produce, and partitions —
-// is a seeded draw from the faultinject plan, applied when a frame is
-// sent. There is no wall clock and no goroutine sleeps: the network
-// advances time by discrete-event warp — when every open endpoint is
-// blocked (receiving or waiting on the clock), the clock jumps to the
-// earliest pending delivery, receive deadline, or wait target. Tests of
-// hostile networks therefore run in microseconds and replay exactly, and
-// a fault-free network is the in-process fleet's transport: time never
-// passes while a worker computes, so no lease expires under real work.
+// is an entry of the run's faultinject frame table, applied when the
+// result frame it names is sent. There is no wall clock and no goroutine
+// sleeps: the network advances time by discrete-event warp — when every
+// open endpoint is blocked (receiving or waiting on the clock), the clock
+// jumps to the earliest pending delivery, receive deadline, or wait
+// target. Tests of hostile networks therefore run in microseconds and
+// replay exactly, and a fault-free network is the in-process fleet's
+// transport: time never passes while a worker computes, so no lease
+// expires under real work.
 //
 // Fault semantics, chosen to mirror a real stream transport:
 //
@@ -24,7 +25,9 @@ package shardnet
 //     connection is silently discarded for a window; neither side learns
 //     the link is gone — only heartbeat silence (lease expiry) does.
 //
-// Each fault fires once, like every member of the faultinject family.
+// Each fault fires once: the network consults the run's armed plan, the
+// same fire-once view the workers' kill taps share, so a takeover's
+// resend of a frame meets only the faults that have not fired yet.
 
 import (
 	"fmt"
@@ -36,37 +39,25 @@ import (
 // SimNet is one simulated network: a logical clock, a listener, and the
 // connections dialed through it. It implements Clock for both sides.
 type SimNet struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	now   int64
-	seq   uint64
-	chaos *faultinject.NetChaos
+	mu     sync.Mutex
+	cond   *sync.Cond
+	now    int64
+	seq    uint64
+	faults *faultinject.ArmedPlan
 
 	openEnds int
 	holds    int
 	waiters  map[*simWaiter]struct{}
 
 	listener *SimListener
-
-	firedDelay map[[2]int]bool
-	firedDrop  map[[2]int]bool
-	firedDup   map[[2]int]bool
-	firedPart  map[[2]int]bool
 }
 
 type simWaiter struct{ target int64 }
 
-// NewSimNet builds a simulated network injecting chaos (nil injects
-// nothing).
-func NewSimNet(chaos *faultinject.NetChaos) *SimNet {
-	n := &SimNet{
-		chaos:      chaos,
-		waiters:    map[*simWaiter]struct{}{},
-		firedDelay: map[[2]int]bool{},
-		firedDrop:  map[[2]int]bool{},
-		firedDup:   map[[2]int]bool{},
-		firedPart:  map[[2]int]bool{},
-	}
+// NewSimNet builds a simulated network injecting the network faults of
+// one run's armed plan (nil injects nothing).
+func NewSimNet(faults *faultinject.ArmedPlan) *SimNet {
+	n := &SimNet{faults: faults, waiters: map[*simWaiter]struct{}{}}
 	n.cond = sync.NewCond(&n.mu)
 	n.listener = &SimListener{net: n}
 	return n
@@ -260,42 +251,31 @@ func (e *simEnd) Send(f Frame) error {
 	if n.now < e.pair.partUntil {
 		return nil // partitioned: silently eaten, the sender learns nothing
 	}
-	delay := int64(0)
-	dup := false
+	var hit faultinject.FrameFaults
 	if e.isWorker && f.Type == frameResult {
 		if slice, item, ok := resultRef(f.Payload); ok {
-			key := [2]int{slice, item}
-			if ticks, hit := n.chaos.PartitionFor(slice, item); hit && !n.firedPart[key] {
-				n.firedPart[key] = true
-				e.pair.partUntil = n.now + ticks
-				return nil // the triggering frame is inside the partition
-			}
-			if n.chaos.DropFor(slice, item) && !n.firedDrop[key] {
-				n.firedDrop[key] = true
-				// In-order-or-dead: a lost frame severs the stream.
-				e.closed = true
-				e.peer().closed = true
-				n.openEnds -= 2
-				n.cond.Broadcast()
-				return ErrClosed
-			}
-			if ticks, hit := n.chaos.DelayFor(slice, item); hit && !n.firedDelay[key] {
-				n.firedDelay[key] = true
-				delay = ticks
-			}
-			if n.chaos.DupFor(slice, item) && !n.firedDup[key] {
-				n.firedDup[key] = true
-				dup = true
-			}
+			hit = n.faults.Send(slice, item)
 		}
 	}
+	if hit.Partition > 0 {
+		e.pair.partUntil = n.now + hit.Partition
+		return nil // the triggering frame is inside the partition
+	}
+	if hit.Drop {
+		// In-order-or-dead: a lost frame severs the stream.
+		e.closed = true
+		e.peer().closed = true
+		n.openEnds -= 2
+		n.cond.Broadcast()
+		return ErrClosed
+	}
 	peer := e.peer()
-	peer.enqueueLocked(n, f, n.now+1+delay)
-	if dup {
+	peer.enqueueLocked(n, f, n.now+1+hit.Delay)
+	if hit.Dup {
 		// The copy lands on the same tick but a later sequence number: a
 		// distinct, strictly-later delivery that cannot be stranded past
 		// the end of the run the way a further-future tick could be.
-		peer.enqueueLocked(n, f, n.now+1+delay)
+		peer.enqueueLocked(n, f, n.now+1+hit.Delay)
 	}
 	n.cond.Broadcast()
 	return nil

@@ -17,6 +17,8 @@ package shardnet
 import (
 	"errors"
 	"fmt"
+
+	"pinscope/internal/faultinject"
 )
 
 // Bench computes one item's journal payload. Implementations must be
@@ -33,7 +35,7 @@ type WorkerOptions struct {
 	NewBench func(runConfig []byte) (Bench, error)
 	// IdleTimeout bounds each idle Recv in clock units; on expiry the
 	// worker re-announces Ready, which also recovers grants eaten by a
-	// partition (0 = 4·DefaultSimTTL).
+	// partition (0 = 4·faultinject.NetTTL).
 	IdleTimeout int64
 	// Reconnects is the total dial/connection-failure budget before the
 	// worker gives up (0 = 8).
@@ -46,7 +48,8 @@ type WorkerOptions struct {
 	// KillTap, when set, is consulted before each result send; returning
 	// kill = true makes the worker die mid-stream — over TCP it writes
 	// torn bytes of the result frame first, the wire image of a process
-	// dying mid-send. Fire-once is the caller's responsibility.
+	// dying mid-send. Workers sharing one run's faults share one tap
+	// (faultinject.ArmedPlan.Kill), so each kill fires once.
 	KillTap func(slice, item int) (torn int, kill bool)
 }
 
@@ -65,7 +68,7 @@ func RunWorker(d Dialer, opt WorkerOptions) error {
 		return errors.New("shardnet: worker needs a clock and a bench constructor")
 	}
 	if opt.IdleTimeout <= 0 {
-		opt.IdleTimeout = 4 * DefaultSimTTL
+		opt.IdleTimeout = 4 * faultinject.NetTTL
 	}
 	reconnects := opt.Reconnects
 	if reconnects <= 0 {

@@ -461,7 +461,9 @@ type ShardOptions struct {
 	// over an interrupted run's directory resumes it.
 	Dir string
 	// Kills deterministically kills the worker holding a slice (for
-	// crash-drill runs): slice index → results sent before the death.
+	// crash-drill runs): slice index → results sent before the death. Each
+	// kill needs its own slice in [0, Shards) and AfterResults ≥ 0, and
+	// only an in-process fleet (RunSharded, RunShardedTCP) carries them.
 	Kills []ShardKill
 	// KillTorn is how many bytes of the interrupted result frame each
 	// injected kill writes on the wire before dying — a torn wire frame
@@ -478,17 +480,35 @@ type ShardKill struct {
 	AfterResults int
 }
 
-func (o ShardOptions) plan(torn int) *faultinject.ShardPlan {
-	if len(o.Kills) == 0 {
-		return nil
+// runShards is the guard and the ShardOptions → core conversion the three
+// sharded runs share: it refuses the single-journal options and any kill
+// that could never fire, renders the kills as the run's fault table, and
+// hands run the core arguments.
+func runShards(cfg Config, opts ShardOptions,
+	run func(core.Config, core.ShardedConfig) (*shardnet.Stats, error)) (*NetShardStats, error) {
+	if cfg.JournalPath != "" || cfg.KillAfter > 0 {
+		return nil, errors.New("pinscope: sharded runs journal per shard; JournalPath and KillAfter do not apply")
 	}
-	p := &faultinject.ShardPlan{}
-	for _, k := range o.Kills {
-		p.Kills = append(p.Kills, faultinject.ShardKill{
-			Slice: k.Slice, AfterResults: k.AfterResults, TornBytes: torn,
-		})
+	plan := faultinject.ShardPlan{}
+	killed := map[int]bool{}
+	for _, k := range opts.Kills {
+		if k.Slice < 0 || k.Slice >= opts.Shards || killed[k.Slice] || k.AfterResults < 0 {
+			return nil, fmt.Errorf("pinscope: shard kill %d@%d can never fire: each kill needs its own slice in [0, %d) and AfterResults >= 0",
+				k.Slice, k.AfterResults, opts.Shards)
+		}
+		killed[k.Slice] = true
+		plan[faultinject.Frame{Slice: k.Slice, Item: k.AfterResults}] = faultinject.FrameFaults{Kill: true, TornBytes: opts.KillTorn}
 	}
-	return p
+	stats, err := run(cfg.toCore(), core.ShardedConfig{
+		Shards:  opts.Shards,
+		Workers: opts.Workers,
+		Dir:     opts.Dir,
+		Faults:  plan,
+	})
+	if stats == nil {
+		return nil, err
+	}
+	return netShardStats(stats), err
 }
 
 // ShardStats reports what a sharded run's coordinator observed.
@@ -517,20 +537,11 @@ type ShardStats struct {
 // produces a dataset byte-identical to an unsharded Run + ExportDataset of
 // the same Config.
 func RunSharded(cfg Config, opts ShardOptions) (*ShardStats, error) {
-	cc := cfg.toCore()
-	if cfg.JournalPath != "" || cfg.KillAfter > 0 {
-		return nil, errors.New("pinscope: sharded runs journal per shard; JournalPath and KillAfter do not apply")
-	}
-	stats, err := core.RunSharded(cc, core.ShardedConfig{
-		Shards:  opts.Shards,
-		Workers: opts.Workers,
-		Dir:     opts.Dir,
-		Faults:  opts.plan(opts.KillTorn),
-	})
+	stats, err := runShards(cfg, opts, core.RunSharded)
 	if stats == nil {
 		return nil, err
 	}
-	return &netShardStats(stats).ShardStats, err
+	return &stats.ShardStats, err
 }
 
 // NetShardStats reports a sharded run with the transport's own counters
@@ -567,43 +578,25 @@ func netShardStats(stats *shardnet.Stats) *NetShardStats {
 // Network chaos is not injected — the wire is real — but injected worker
 // kills still fire, leaving torn wire frames the framing must reject.
 func RunShardedTCP(cfg Config, opts ShardOptions) (*NetShardStats, error) {
-	cc := cfg.toCore()
-	if cfg.JournalPath != "" || cfg.KillAfter > 0 {
-		return nil, errors.New("pinscope: sharded runs journal per shard; JournalPath and KillAfter do not apply")
-	}
-	stats, err := core.RunShardedTCP(cc, core.ShardedConfig{
-		Shards:  opts.Shards,
-		Workers: opts.Workers,
-		Dir:     opts.Dir,
-		Faults:  opts.plan(opts.KillTorn),
-	})
-	if stats == nil {
-		return nil, err
-	}
-	return netShardStats(stats), err
+	return runShards(cfg, opts, core.RunShardedTCP)
 }
 
 // ServeShards runs the coordinator half of a cross-machine sharded study:
 // it listens on addr (host:port), ships each connecting worker the run's
 // configuration, and returns once every slice is journaled under
-// opts.Dir — merge them with MergeShards. It waits for workers rather
-// than failing when none are connected, so workers may be started after,
-// or restarted during, the run; an interrupted serve resumes from the
-// journals like any sharded run.
+// opts.Dir — merge them with MergeShards. The fleet is whoever connects:
+// opts.Workers is not read, and opts.Kills, which need an in-process
+// worker, are refused. It waits for workers rather than failing when none
+// are connected, so workers may be started after, or restarted during,
+// the run; an interrupted serve resumes from the journals like any
+// sharded run.
 func ServeShards(cfg Config, opts ShardOptions, addr string) (*NetShardStats, error) {
-	cc := cfg.toCore()
-	if cfg.JournalPath != "" || cfg.KillAfter > 0 {
-		return nil, errors.New("pinscope: sharded runs journal per shard; JournalPath and KillAfter do not apply")
+	if len(opts.Kills) > 0 {
+		return nil, errors.New("pinscope: ServeShards runs no worker of its own, so its Kills could never fire")
 	}
-	stats, err := core.ServeShards(cc, core.ShardedConfig{
-		Shards:  opts.Shards,
-		Workers: opts.Workers,
-		Dir:     opts.Dir,
-	}, addr)
-	if stats == nil {
-		return nil, err
-	}
-	return netShardStats(stats), err
+	return runShards(cfg, opts, func(cc core.Config, sc core.ShardedConfig) (*shardnet.Stats, error) {
+		return core.ServeShards(cc, sc, addr)
+	})
 }
 
 // ConnectShardWorker runs the worker half of a cross-machine sharded

@@ -213,3 +213,37 @@ func TestAdviseAppViaFacade(t *testing.T) {
 		t.Fatal("unknown app advised")
 	}
 }
+
+// A shard kill that names no slice of the run, or a slice another kill
+// already names, could never fire as asked: every sharded entry point
+// refuses it before building anything, and ServeShards, whose workers run
+// elsewhere, refuses kills outright.
+func TestShardKillsThatCannotFireAreRefused(t *testing.T) {
+	cfg := MiniConfig(2024)
+	runs := []struct {
+		name string
+		run  func(ShardOptions) error
+	}{
+		{"RunSharded", func(o ShardOptions) error { _, err := RunSharded(cfg, o); return err }},
+		{"RunShardedTCP", func(o ShardOptions) error { _, err := RunShardedTCP(cfg, o); return err }},
+		{"ServeShards", func(o ShardOptions) error { _, err := ServeShards(cfg, o, "127.0.0.1:0"); return err }},
+	}
+	for _, kills := range [][]ShardKill{
+		{{Slice: 4, AfterResults: 1}},
+		{{Slice: -1, AfterResults: 1}},
+		{{Slice: 1, AfterResults: 1}, {Slice: 1, AfterResults: 3}},
+		{{Slice: 0, AfterResults: -1}},
+	} {
+		for _, r := range runs {
+			err := r.run(ShardOptions{Shards: 4, Dir: t.TempDir(), Kills: kills})
+			if err == nil || !strings.Contains(err.Error(), "never fire") {
+				t.Fatalf("%s with kills %v on 4 shards: err %v, want a never-fire refusal", r.name, kills, err)
+			}
+		}
+	}
+	serve := runs[2].run
+	if err := serve(ShardOptions{Shards: 4, Dir: t.TempDir(), Kills: []ShardKill{{Slice: 0, AfterResults: 1}}}); err == nil ||
+		!strings.Contains(err.Error(), "never fire") {
+		t.Fatalf("ServeShards with a kill: err %v, want a never-fire refusal", err)
+	}
+}

@@ -127,10 +127,11 @@ cmp "$tmp/single.json" "$tmp/merged.json"
 # processes, each building its own world, must journal identical bytes —
 # the cross-process form of DESIGN.md §8 step 1. Certificate signatures
 # are deterministic (RFC 6979), so even the DER a record carries agrees.
+# The first process is the merge smoke's run above (merging only reads
+# its journals); a second process journals the same run afresh.
 echo "==> cross-process journal identity smoke (two processes, cmp every slice WAL)"
-go run ./cmd/pinstudy -scale mini -shards 3 -journal "$tmp/ja" > /dev/null
 go run ./cmd/pinstudy -scale mini -shards 3 -journal "$tmp/jb" > /dev/null
-for wal in "$tmp"/ja/shard-*.wal; do
+for wal in "$tmp"/shards/shard-*.wal; do
     cmp "$wal" "$tmp/jb/$(basename "$wal")"
 done
 
